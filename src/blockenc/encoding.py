@@ -6,8 +6,8 @@ ordered ancilla (x) system, so the encoded block is literally the top-left
 system_dim x system_dim corner of the matrix.
 
 Encodings may carry a claimed target matrix; verification mode measures the
-block-extraction error against it.  Production pipelines can drop the target
-to save memory.  All values are immutable after construction.
+block-extraction error against it.  All values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -88,18 +88,6 @@ class BlockEncoding:
             raise ValueError("scale must be positive")
         tgt = None if self.target is None else self.target / s
         return replace(self, alpha=self.alpha / s, epsilon=self.epsilon / s, target=tgt)
-
-    def drop_target(self) -> "BlockEncoding":
-        return replace(self, target=None)
-
-    def to_descriptor(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "ancillas": self.ancillas,
-            "epsilon": self.epsilon,
-            "system_dim": self.system_dim,
-            "ledger": self.ledger.to_dict(),
-        }
 
 
 def _pad_ancillas(u: np.ndarray, extra: int) -> np.ndarray:
@@ -289,6 +277,29 @@ def compact(u: BlockEncoding) -> BlockEncoding:
     return replace(u, unitary=unitary_dilation(block), ancillas=1)
 
 
+def sparse_oracles(a: np.ndarray):
+    """Row, column and entry oracles over a dense matrix, plus its row and column sparsities.
+
+    The oracles follow the `from_sparse_access` conventions.
+    """
+    rows, cols = a.shape
+
+    def entry(i, j):
+        return a[i, j]
+
+    def row_oracle(i, k):
+        nz = np.nonzero(a[i])[0]
+        return int(nz[k]) if k < len(nz) else cols + k
+
+    def col_oracle(j, k):
+        nz = np.nonzero(a[:, j])[0]
+        return int(nz[k]) if k < len(nz) else rows + k
+
+    s_row = int(np.count_nonzero(a, axis=1).max(initial=1))
+    s_col = int(np.count_nonzero(a, axis=0).max(initial=1))
+    return row_oracle, col_oracle, entry, max(s_row, 1), max(s_col, 1)
+
+
 def from_sparse_access(
     row_oracle,
     col_oracle,
@@ -392,10 +403,10 @@ def from_kp(
         if m_rows != n_cols:
             raise DimensionError("square mode requires a square stored matrix")
         psi, phi, q_dim = _kp_states_square(mode, tree, tree_p, tree_q, m_rows, n_cols)
-        target_small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q, mu)
+        target_small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
     else:
         psi, phi, q_dim = _kp_states_complement(mode, tree, tree_p, tree_q, m_rows, n_cols)
-        small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q, mu)
+        small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
         target_small = complement_matrix(small)
 
     check_dim(q_dim * q_dim, "kp encoding")
@@ -426,7 +437,7 @@ def from_kp(
     return encoding, mu
 
 
-def _kp_target(tree_p: KPTree, tree_q: KPTree, mu: MuParams) -> np.ndarray:
+def _kp_target(tree_p: KPTree, tree_q: KPTree) -> np.ndarray:
     """Reconstruct A from its power trees: sign|A|^p entrywise-times |A|^(1-p)."""
     return tree_p.to_matrix() * tree_q.to_matrix().T
 
@@ -459,7 +470,7 @@ def from_kp_weighted(
         mode, tree, tree_p, tree_q, base.rows, base.cols, row_scale=row_scale
     )
     check_dim(q_dim * q_dim, "kp encoding")
-    small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q, mu)
+    small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
     target_small = complement_matrix(np.sqrt(w)[:, None] * small)
     _pad_state_families(psi, phi, q_dim)
     u_r = _complete_unitary({i: psi[i] for i in range(q_dim)}, q_dim * q_dim)

@@ -9,12 +9,6 @@ from .network import ElectricalNetwork, build_network
 from .regression import RegressionProblem
 
 
-def random_unitary(rng, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_orthogonal(rng, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
@@ -33,11 +27,6 @@ def random_hermitian_spectrum(
         eigs = eigs * signs
     q = random_orthogonal(rng, dim)
     return (q * eigs) @ q.T
-
-
-def random_contraction(rng, rows: int, cols: int, norm: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(rows, cols))
-    return a / spectral_norm(a) * norm
 
 
 def random_state(rng, dim: int) -> np.ndarray:

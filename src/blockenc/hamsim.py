@@ -1,9 +1,14 @@
 """Hamiltonian simulation of block-encoded matrices and smooth matrix functions.
 
-Functional blocks are computed spectrally from the symmetrized extracted
-block, which is exact at desk scale, while the ledger charges the analytic
-costs of the corresponding circuit constructions.  Matrix powers additionally
-have a truncated-Taylor "series" path so the two routes can be compared.
+e^{itH}, H^{-c}, H^c and truncated-series functions f(H) are all computed
+by `linalg.hermitian_function` on the symmetrized extracted block (and on
+the claimed target, when one is attached), which is exact at desk scale,
+while the ledger charges the analytic costs of the corresponding circuit
+constructions (controlled simulation, the sign-split power circuits).
+Matrix powers additionally have a truncated-Taylor "series" path so the two
+routes can be compared.  The inversion patch W(lam, eps) of the
+variable-time solvers enters only through its per-eigenbranch amplitude,
+`inversion_patch_amplitude`.
 """
 
 from __future__ import annotations
@@ -14,21 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import BlockEncoding, _pad_ancillas
-from .errors import DimensionError, PreconditionError, SpectrumError
-from .ledger import CostLedger
-from .linalg import hermitianize, spectral_norm, unitary_dilation
+from .errors import PreconditionError, SpectrumError
+from .linalg import hermitian_function, hermitianize, spectral_norm, unitary_dilation
 
 _SPECTRUM_SLACK = 1e-9
 
 
 def _sym_block(u: BlockEncoding) -> np.ndarray:
     return hermitianize(u.applied())
-
-
-def _eigh_target(u: BlockEncoding):
-    if u.target is None:
-        return None
-    return np.linalg.eigh(hermitianize(u.target))
 
 
 def _log2(x: float) -> float:
@@ -41,88 +39,19 @@ def block_ham_sim(u: BlockEncoding, t: float, eps: float) -> BlockEncoding:
         raise PreconditionError(
             f"input encoding error {u.epsilon} exceeds eps/|2t| = {eps / abs(2 * t)}"
         )
-    h = _sym_block(u)
-    w, v = np.linalg.eigh(h)
-    func = (v * np.exp(1j * t * w)) @ v.conj().T
+
+    def f(w):
+        return np.exp(1j * t * w)
+
+    func = hermitian_function(u.applied(), f)
     rounds = abs(u.alpha * t) + _log2(1.0 / eps) if eps > 0 else abs(u.alpha * t) + 1.0
-    target = None
-    eig = _eigh_target(u)
-    if eig is not None:
-        tw, tv = eig
-        target = (tv * np.exp(1j * t * tw)) @ tv.conj().T
+    target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
         unitary=_pad_ancillas(func, u.ancillas + 2),
         alpha=1.0,
         ancillas=u.ancillas + 2,
         epsilon=float(eps),
         system_dim=u.system_dim,
-        ledger=u.ledger.scaled(rounds).with_gates(u.ancillas * rounds),
-        target=target,
-    )
-
-
-def signed_index(i: int, big_m: int) -> int:
-    """Two's-complement decoding of the clock index: m = -b_J 2^J + rest."""
-    return i - 2 * big_m if i >= big_m else i
-
-
-def controlled_factors(h: np.ndarray, big_m: int, gamma: float) -> list[np.ndarray]:
-    """The J+1 controlled-evolution factors whose product is the clocked unitary."""
-    j_bits = int(round(math.log2(big_m)))
-    d = h.shape[0]
-    w, v = np.linalg.eigh(h)
-    factors = []
-    for j in range(j_bits + 1):
-        sign = -1.0 if j == j_bits else 1.0
-        step = (v * np.exp(1j * sign * (2**j) * gamma * w)) @ v.conj().T
-        blocks = []
-        for i in range(2 * big_m):
-            bit = (i >> j) & 1
-            blocks.append(step if bit else np.eye(d))
-        factor = np.zeros((2 * big_m * d, 2 * big_m * d), dtype=complex)
-        for i, blk in enumerate(blocks):
-            factor[i * d : (i + 1) * d, i * d : (i + 1) * d] = blk
-        factors.append(factor)
-    return factors
-
-
-def controlled_ham_sim(u: BlockEncoding, big_m: int, gamma: float, eps: float) -> BlockEncoding:
-    """(1, a+2, eps)-encoding of sum_m |m><m| (x) e^{i m gamma H}, m in [-M, M).
-
-    The clock register uses the signed-bitstring convention and the unitary is
-    assembled as the product of J+1 bit-controlled evolution factors.
-    """
-    if big_m < 1 or big_m & (big_m - 1):
-        raise PreconditionError(f"M must be a power of two, got {big_m}")
-    j_bits = int(round(math.log2(big_m)))
-    budget = eps / (8.0 * (j_bits + 1) ** 2 * big_m * max(abs(gamma), 1e-300))
-    if u.epsilon > budget + 1e-15:
-        raise PreconditionError(
-            f"input encoding error {u.epsilon} exceeds eps/|8(J+1)^2 M gamma| = {budget}"
-        )
-    h = _sym_block(u)
-    clocked = controlled_factors(h, big_m, gamma)
-    unitary = clocked[-1]
-    for f in reversed(clocked[:-1]):
-        unitary = unitary @ f
-    d = u.system_dim
-    target = None
-    eig = _eigh_target(u)
-    if eig is not None:
-        tw, tv = eig
-        target = np.zeros((2 * big_m * d, 2 * big_m * d), dtype=complex)
-        for i in range(2 * big_m):
-            m = signed_index(i, big_m)
-            blk = (tv * np.exp(1j * m * gamma * tw)) @ tv.conj().T
-            target[i * d : (i + 1) * d, i * d : (i + 1) * d] = blk
-    rounds = abs(u.alpha * big_m * gamma) + j_bits * _log2(j_bits / eps if eps > 0 else 2.0)
-    rounds = max(rounds, 1.0)
-    return BlockEncoding(
-        unitary=_pad_ancillas(unitary, u.ancillas + 2),
-        alpha=1.0,
-        ancillas=u.ancillas + 2,
-        epsilon=float(eps),
-        system_dim=2 * big_m * d,
         ledger=u.ledger.scaled(rounds).with_gates(u.ancillas * rounds),
         target=target,
     )
@@ -273,11 +202,9 @@ def smooth_function(
         series.radius / (series.delta * eps_prime)
     ) * _log2(1.0 / eps_prime)
     target = None
-    eig = _eigh_target(u)
-    if eig is not None:
-        tw, tv = eig
-        fw = exact_f(tw) if exact_f is not None else series.evaluate(tw, degree)
-        target = (tv * fw) @ tv.conj().T
+    if u.target is not None:
+        f = exact_f if exact_f is not None else (lambda x: series.evaluate(x, degree))
+        target = hermitian_function(u.target, f)
     return BlockEncoding(
         unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
         alpha=b,
@@ -333,18 +260,15 @@ def negative_power(
     if path != "spectral":
         raise ValueError(f"unknown path {path!r}")
     _check_positive_spectrum(u, kappa, allow_negative=True)
-    h = _sym_block(u)
-    w, v = np.linalg.eigh(h)
-    fw = np.sign(w) * np.abs(w) ** (-c)
-    block = (v * fw) @ v.conj().T / alpha_out
+
+    def f(w):
+        return np.sign(w) * np.abs(w) ** (-c)
+
+    block = hermitian_function(u.applied(), f) / alpha_out
     nrm = spectral_norm(block)
     if nrm > 1.0:
         block = block / nrm
-    target = None
-    eig = _eigh_target(u)
-    if eig is not None:
-        tw, tv = eig
-        target = (tv * (np.sign(tw) * np.abs(tw) ** (-c))) @ tv.conj().T
+    target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
         unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
         alpha=alpha_out,
@@ -370,15 +294,13 @@ def positive_power(
         return smooth_function(u, series, eps / 2.0, exact_f=lambda x: x**c)
     if path != "spectral":
         raise ValueError(f"unknown path {path!r}")
-    h = _sym_block(u)
-    w, v = np.linalg.eigh(h)
-    block = (v * np.maximum(w, 0.0) ** c) @ v.conj().T / 2.0
+
+    def f(w):
+        return np.maximum(w, 0.0) ** c
+
+    block = hermitian_function(u.applied(), f) / 2.0
     rounds = u.alpha * kappa * _log2(kappa / eps)
-    target = None
-    eig = _eigh_target(u)
-    if eig is not None:
-        tw, tv = eig
-        target = (tv * np.maximum(tw, 0.0) ** c) @ tv.conj().T
+    target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
         unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
         alpha=2.0,
@@ -390,76 +312,13 @@ def positive_power(
     )
 
 
-@dataclass(frozen=True)
-class InversionPatch:
-    """Flagged unitary applying ~ H^{-c}/alpha_max on eigenspaces with |eig| >= lam.
+def inversion_patch_amplitude(lam: float, phi: float, power: float, alpha_max: float) -> float:
+    """Flagged amplitude of the inversion patch W(phi, eps') on eigenvalue lam.
 
-    Acts on flag (x) dilation-ancilla (x) system: on the valid span,
-    |0>|0>|psi> maps to (1/alpha_max)|1>|0> f(H)|psi> + |0>|perp>.
+    sign(lam) max(|lam|, phi)^(-power) / alpha_max, clamped to [-1, 1]; lam = 0
+    takes the + sign.  All patches of one solver share alpha_max, which the
+    variable-time flag algebra requires.
     """
-
-    unitary: np.ndarray
-    lam: float
-    eps: float
-    alpha_max: float
-    power: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    ledger: CostLedger
-
-    def good_amplitude(self, eigenvalue: float) -> float:
-        """Per-eigenbranch flagged amplitude f(lambda)/alpha_max."""
-        lam_eff = max(abs(eigenvalue), self.lam)
-        return math.copysign(lam_eff ** (-self.power), eigenvalue) / self.alpha_max
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        full = np.zeros(4 * state.size, dtype=complex)
-        full[: state.size] = state
-        return self.unitary @ full
-
-
-def inversion_patch(
-    u: BlockEncoding,
-    lam: float,
-    eps: float,
-    alpha_max: float | None = None,
-    power: float = 1.0,
-) -> InversionPatch:
-    """W(lam, eps) from the efficient-inversion corollary.
-
-    All patches of one solver share the subnormalization alpha_max (default
-    2/lam^power, i.e. 2 kappa^c for kappa = 1/lam), which the variable-time
-    flag algebra requires.
-    """
-    if lam <= 0 or lam > 1:
-        raise PreconditionError(f"lam must lie in (0, 1], got {lam}")
-    budget = eps * lam**2 / _log2(1.0 / (lam * eps)) ** 3
-    if u.epsilon > budget + 1e-15:
-        raise PreconditionError(
-            f"input error {u.epsilon} exceeds the inversion budget {budget}"
-        )
-    if alpha_max is None:
-        alpha_max = 2.0 / lam**power
-    h = _sym_block(u)
-    w, v = np.linalg.eigh(h)
-    lam_eff = np.maximum(np.abs(w), lam)
-    fw = np.sign(np.where(w == 0, 1.0, w)) * lam_eff ** (-power)
-    block = (v * (fw / alpha_max)) @ v.conj().T
-    dil = unitary_dilation(block)
-    d = u.system_dim
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    eye = np.eye(d)
-    cx = np.kron(x, np.kron(p0, eye)) + np.kron(np.eye(2), np.kron(p1, eye))
-    rounds = u.alpha / lam * _log2(1.0 / (lam * eps))
-    return InversionPatch(
-        unitary=cx @ np.kron(np.eye(2), dil),
-        lam=lam,
-        eps=eps,
-        alpha_max=alpha_max,
-        power=power,
-        eigenvalues=w,
-        eigenvectors=v,
-        ledger=u.ledger.scaled(max(rounds, 1.0)).with_gates(u.ancillas * rounds),
-    )
+    lam_eff = max(abs(lam), phi)
+    g = math.copysign(lam_eff**-power, lam if lam != 0 else 1.0) / alpha_max
+    return max(-1.0, min(1.0, g))

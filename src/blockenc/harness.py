@@ -12,10 +12,8 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,8 +322,7 @@ class SweepSummary:
 def scaling_sweep(family: str, grid=None, eps: float = 1e-3, seed: int = 0) -> SweepSummary:
     """One CSV row per grid point; summary fits a log-log slope of query counts.
 
-    Points run concurrently (they are independent and deterministic in the
-    seed); the output order is the grid order regardless of completion order.
+    Points run one after another, in grid order.
     """
     if family not in SWEEP_FAMILIES:
         raise ConfigError(f"unknown sweep family {family!r}")
@@ -335,8 +332,7 @@ def scaling_sweep(family: str, grid=None, eps: float = 1e-3, seed: int = 0) -> S
             if family != "qls-epsilon"
             else [1e-3 / 2.0**j for j in (0, 2, 4, 6, 8, 10)]
         )
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(family, v, eps, seed), grid))
+    rows = [_sweep_point(family, v, eps, seed) for v in grid]
     xs = np.log([r["kappa"] if family != "qls-epsilon" else 1.0 / r["epsilon"] for r in rows])
     ys = np.log([r["queries"] for r in rows])
     slope, intercept = np.polyfit(xs, ys, 1)

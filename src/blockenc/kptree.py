@@ -66,9 +66,6 @@ class _SumTree:
             idx //= 2
         return touched
 
-    def depth(self) -> int:
-        return int(round(np.log2(self.capacity)))
-
 
 @dataclass
 class MuParams:

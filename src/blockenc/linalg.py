@@ -58,6 +58,16 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def hermitian_function(a: np.ndarray, f) -> np.ndarray:
+    """f(H) = V f(w) V^dagger for the Hermitian part H = V diag(w) V^dagger of `a`.
+
+    `f` maps the eigenvalue array to the diagonal of f(H).  The input is not
+    cast, so a real symmetric `a` with a real-valued `f` gives a real result.
+    """
+    w, v = np.linalg.eigh(hermitianize(a))
+    return (v * f(w)) @ v.conj().T
+
+
 @dataclass(frozen=True)
 class SVDDecomposition:
     """Full SVD A = U diag(s) Vh with singular values sorted descending."""
@@ -73,12 +83,6 @@ class SVDDecomposition:
         r = len(self.singular_values)
         s[:r, :r] = np.diag(self.singular_values)
         return self.left @ s @ self.right_h
-
-    @property
-    def rank_tol(self) -> float:
-        return max(self.left.shape[0], self.right_h.shape[1]) * np.finfo(float).eps * (
-            self.singular_values[0] if len(self.singular_values) else 0.0
-        )
 
 
 def svd(a) -> SVDDecomposition:
@@ -112,9 +116,7 @@ def hermitian_exp(h, t: float) -> np.ndarray:
     m = as_matrix(h, "hamiltonian")
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"hamiltonian must be square, got {m.shape}")
-    w, v = np.linalg.eigh(hermitianize(m))
-    phases = np.exp(1j * t * w)
-    return (v * phases) @ v.conj().T
+    return hermitian_function(m, lambda w: np.exp(1j * t * w))
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -123,9 +125,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     Negative eigenvalues only arise from rounding (inputs are I - BB^dagger
     with ||B|| <= 1 + 1e-12), and clamping keeps the dilation unitary.
     """
-    w, v = np.linalg.eigh(hermitianize(a))
-    w = np.sqrt(np.maximum(w, 0.0))
-    return (v * w) @ v.conj().T
+    return hermitian_function(a, lambda w: np.sqrt(np.maximum(w, 0.0)))
 
 
 def unitary_dilation(b) -> np.ndarray:

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BlockEncoding, encode, from_kp, from_sparse_access
+from .encoding import encode, from_kp, from_sparse_access, sparse_oracles
 from .errors import GraphError, PreconditionError
 from .kptree import KPTree
 from .ledger import CostLedger
 from .linalg import complement_matrix, pseudoinverse, spectral_norm
-from .solvers import NormEstimate, qls_norm_estimate
+from .solvers import qls_norm_estimate
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,7 @@ def _network_encoding(network: ElectricalNetwork, route: str, p: float | None):
     if route == "sparse":
         # sparse oracles serve entries of C/sqrt(w_max) so they lie in [-1, 1]
         scaled = cbar / math.sqrt(network.w_max)
-        rows, cols = scaled.shape
-
-        def entry(i, j):
-            return scaled[i, j]
-
-        def row_oracle(i, k):
-            nz = np.nonzero(scaled[i])[0]
-            return int(nz[k]) if k < len(nz) else cols + k
-
-        def col_oracle(j, k):
-            nz = np.nonzero(scaled[:, j])[0]
-            return int(nz[k]) if k < len(nz) else rows + k
-
+        row_oracle, col_oracle, entry, _, _ = sparse_oracles(scaled)
         s = max(network.max_degree, 2)
         enc = from_sparse_access(row_oracle, col_oracle, entry, scaled.shape, s, s)
         return enc.claiming(cbar, 0.0).rescaled(1.0 / math.sqrt(network.w_max))

@@ -27,12 +27,13 @@ from .encoding import (
     preamplified_product,
     product,
     restrict,
+    sparse_oracles,
 )
 from .errors import DimensionError, NormError, PreconditionError
 from .hamsim import negative_power
 from .kptree import KPTree, power_trees
 from .ledger import CostLedger
-from .linalg import embed, normalize, spectral_norm
+from .linalg import embed, hermitian_function, normalize, spectral_norm
 from .mmio import read_matrix, read_vector
 from .solvers import pseudoinverse_state
 
@@ -117,8 +118,7 @@ class RegressionProblem:
 
 
 def _inv_sqrt(omega: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((omega + omega.T) / 2.0)
-    return (v * (1.0 / np.sqrt(np.maximum(w, 1e-300)))) @ v.conj().T
+    return hermitian_function(omega, lambda w: 1.0 / np.sqrt(np.maximum(w, 1e-300)))
 
 
 def residual_stats(problem: RegressionProblem) -> float:
@@ -140,25 +140,6 @@ def classical_beta(problem: RegressionProblem) -> np.ndarray:
         omega_inv = np.linalg.inv(problem.omega)
         beta = np.linalg.solve(x.T @ omega_inv @ x, x.T @ omega_inv @ y)
     return normalize(beta)
-
-
-def _sparse_oracles(a: np.ndarray):
-    rows, cols = a.shape
-
-    def entry(i, j):
-        return a[i, j]
-
-    def row_oracle(i, k):
-        nz = np.nonzero(a[i])[0]
-        return int(nz[k]) if k < len(nz) else cols + k
-
-    def col_oracle(j, k):
-        nz = np.nonzero(a[:, j])[0]
-        return int(nz[k]) if k < len(nz) else rows + k
-
-    s_row = int(np.count_nonzero(a, axis=1).max(initial=1))
-    s_col = int(np.count_nonzero(a, axis=0).max(initial=1))
-    return row_oracle, col_oracle, entry, max(s_row, 1), max(s_col, 1)
 
 
 @dataclass(frozen=True)
@@ -231,7 +212,7 @@ def wls_solve(
         abar = np.zeros((m_rows + n_cols, m_rows + n_cols))
         abar[:m_rows, m_rows:] = a
         abar[m_rows:, :m_rows] = a.T
-        row_o, col_o, entry_o, s_row, s_col = _sparse_oracles(abar)
+        row_o, col_o, entry_o, s_row, s_col = sparse_oracles(abar)
         enc = from_sparse_access(row_o, col_o, entry_o, abar.shape, s_row, s_col)
         b_cost = CostLedger.single("b_prep")
     else:
@@ -261,7 +242,7 @@ def _omega_inv_sqrt_encoding(
             base, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p, square=True)
         base = restrict(base, problem.omega.shape[0])
     elif route == "sparse":
-        row_o, col_o, entry_o, s_row, s_col = _sparse_oracles(problem.omega)
+        row_o, col_o, entry_o, s_row, s_col = sparse_oracles(problem.omega)
         base = from_sparse_access(row_o, col_o, entry_o, problem.omega.shape, s_row, s_col)
     else:
         raise PreconditionError(f"unknown GLS route {route!r}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoding import BlockEncoding, apply_to_state, from_kp
 from .errors import OverlapError, PreconditionError, SpectrumError
-from .hamsim import negative_power
+from .hamsim import inversion_patch_amplitude, negative_power
 from .kptree import KPTree
 from .ledger import CostLedger
 from .linalg import hermitianize, normalize
@@ -103,12 +103,6 @@ class SVEOutcome:
     branches: tuple[SVEBranch, ...]
     config: SVEConfig
     ledger: CostLedger
-
-    def sample_shot(self, rng) -> tuple[int, float | None]:
-        """Pick a singular branch by weight, then a boosted estimate for it."""
-        weights = np.array([b.weight for b in self.branches])
-        idx = int(rng.choice(len(self.branches), p=weights / weights.sum()))
-        return idx, self.branches[idx].sample_estimate(rng, self.config.repetitions)
 
 
 def singular_value_estimation(
@@ -267,9 +261,7 @@ def _build_power_vsta(
         lam = float(w[label])
         phi = _stage_phi(stage)
         a0, a1 = gpe_split(lam, phi, eps_p)
-        lam_eff = max(abs(lam), phi)
-        g = math.copysign(lam_eff**-c, lam if lam != 0 else 1.0) / alpha_max
-        g = max(-1.0, min(1.0, g))
+        g = inversion_patch_amplitude(lam, phi, c, alpha_max)
         out = []
         if a1 > 0:
             out.append((True, FLAG_GOOD, a1 * g))
@@ -465,7 +457,6 @@ def naive_solve(
     scaled = inv.rescaled(kappa**c)
     gamma = 1.0 / kappa**c
     res = apply_to_state(scaled, b, gamma_lower=gamma, eps=eps)
-    dummy_cfg = qls_config(kappa, eps, power=c)
     return SolveResult(
         state=res.state,
         ledger=res.ledger,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
@@ -120,40 +120,6 @@ def gpe_split(lam: float, phi: float, eps: float) -> tuple[float, float]:
     a1_sq = float(binom.sf((reps - 1) // 2, reps, p_large))
     a1 = math.sqrt(min(max(a1_sq, 0.0), 1.0))
     return math.sqrt(max(0.0, 1.0 - a1 * a1)), a1
-
-
-@dataclass(frozen=True)
-class GPETransform:
-    """Per-eigenbranch two-outcome split of a gapped phase estimation run."""
-
-    phi: float
-    eps: float
-    eigenphases: np.ndarray
-    eigenvectors: np.ndarray
-    ledger: CostLedger
-
-    def split(self, eigenphase: float) -> tuple[float, float]:
-        return gpe_split(eigenphase, self.phi, self.eps)
-
-    def branch_amplitudes(self) -> list[tuple[float, float, float]]:
-        return [(lam,) + self.split(lam) for lam in self.eigenphases]
-
-
-def gapped_phase_estimation(
-    unitary: np.ndarray, phi: float, eps: float, unit_cost: CostLedger | None = None
-) -> GPETransform:
-    """GPE branch transform for a unitary with eigenphases in [-1, 1]."""
-    if not 0.0 < phi <= 0.25:
-        raise PreconditionError(f"phi must lie in (0, 1/4], got {phi}")
-    w, v = np.linalg.eig(np.asarray(unitary, dtype=complex))
-    phases = np.angle(w)
-    if np.any(np.abs(phases) > 1.0 + 1e-9):
-        raise PreconditionError("eigenphases must lie in [-1, 1]")
-    base = unit_cost if unit_cost is not None else CostLedger.single("U")
-    rounds = (1.0 / phi) * max(1.0, math.log2(1.0 / eps))
-    return GPETransform(
-        phi=phi, eps=eps, eigenphases=phases, eigenvectors=v, ledger=base.scaled(rounds)
-    )
 
 
 # -- amplitude estimation -----------------------------------------------------
@@ -442,7 +408,6 @@ class VTAAResult:
     profile: StoppingProfile
     schedule: AmplificationSchedule
     final_state: BranchState
-    final_unamplified: BranchState
     stage_uses: tuple[float, ...]
     run_time: float  # total time-unit cost of the amplified algorithm
     build_time: float
@@ -463,11 +428,6 @@ class VTAAResult:
             for label, val in acc.items()
             if val > 0
         }
-
-    def good_norm(self) -> float:
-        return math.sqrt(
-            sum(abs(a) ** 2 for (c, f, l), a in self.final_state.items() if f == FLAG_GOOD)
-        )
 
 
 def build_vtaa(
@@ -542,7 +502,6 @@ def build_vtaa(
             stages=tuple(records), e_bound=e_bound, g_bound=1.0, o_bound=o_bound
         ),
         final_state=state,
-        final_unamplified=run_unamplified(vsta),
         stage_uses=tuple(uses),
         run_time=run_time,
         build_time=build_time,
@@ -602,35 +561,3 @@ def mindful_amplify(
     return MindfulResult(
         vtaa=result, gamma=gamma, true_ratio=true_ratio, estimation_time=est_time
     )
-
-
-def two_stage_toy(
-    p_stop_bad_1: float,
-    p_good_2: float,
-    t1: float = 1.0,
-    t2: float = 4.0,
-    p_good_1: float = 0.0,
-) -> VSTA:
-    """Two-stage toy: stage 1 stops bad (and optionally good) mass, stage 2 splits the rest."""
-
-    def seg1(stage, label):
-        keep = math.sqrt(max(0.0, 1.0 - p_stop_bad_1 - p_good_1))
-        return [
-            (True, FLAG_BAD, math.sqrt(p_stop_bad_1)),
-            (True, FLAG_GOOD, math.sqrt(p_good_1)),
-            (False, FLAG_NEUTRAL, keep),
-        ]
-
-    def seg2(stage, label):
-        rest = max(0.0, 1.0 - p_stop_bad_1 - p_good_1)
-        if rest <= 0:
-            return [(True, FLAG_BAD, 1.0)]
-        frac_good = p_good_2 / rest
-        if frac_good > 1.0:
-            raise PreconditionError("p_good_2 exceeds the surviving mass")
-        return [
-            (True, FLAG_GOOD, math.sqrt(frac_good)),
-            (True, FLAG_BAD, math.sqrt(max(0.0, 1.0 - frac_good))),
-        ]
-
-    return VSTA(times=(t1, t2), segments=(seg1, seg2), initial={0: 1.0}, name="two-stage-toy")

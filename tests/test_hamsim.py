@@ -44,42 +44,6 @@ def test_block_ham_sim_functional_block_unitary():
     assert spectral_norm(sim.applied() - oracle) <= 1e-9 + 1e-10
 
 
-def test_controlled_ham_sim_zero():
-    enc = be.encode(np.zeros((2, 2)), 1.0)
-    ctl = hs.controlled_ham_sim(enc, 2, 1.0, 1e-6)
-    assert np.allclose(ctl.applied(), np.eye(8))
-
-
-def test_controlled_ham_sim_signed_blocks():
-    enc = be.encode(np.diag([0.5]), 1.0)
-    ctl = hs.controlled_ham_sim(enc, 2, 1.0, 1e-6)
-    ms = [hs.signed_index(i, 2) for i in range(4)]
-    assert ms == [0, 1, -2, -1]
-    direct = np.diag([np.exp(1j * m * 0.5) for m in ms])
-    assert spectral_norm(ctl.applied() - direct) <= 1e-6
-
-
-def test_controlled_factor_decomposition():
-    rng = np.random.default_rng(2)
-    h = rng.normal(size=(2, 2))
-    h = (h + h.T) / 2 / (2 * spectral_norm(h))
-    factors = hs.controlled_factors(h, 4, 0.8)
-    prod = factors[-1]
-    for f in reversed(factors[:-1]):
-        prod = prod @ f
-    direct = np.zeros_like(prod)
-    for i in range(8):
-        m = hs.signed_index(i, 4)
-        direct[i * 2 : (i + 1) * 2, i * 2 : (i + 1) * 2] = scipy.linalg.expm(1j * m * 0.8 * h)
-    assert spectral_norm(prod - direct) < 1e-10
-
-
-def test_controlled_ham_sim_m_power_of_two():
-    enc = be.encode(np.diag([0.5]), 1.0)
-    with pytest.raises(PreconditionError):
-        hs.controlled_ham_sim(enc, 3, 1.0, 1e-6)
-
-
 def test_taylor_series_envelope_enforced():
     with pytest.raises(PreconditionError):
         hs.TaylorSeries(center=1.0, radius=0.5, coeffs=np.array([10.0, 10.0]),
@@ -191,31 +155,20 @@ def test_negative_power_spectrum_violation():
         hs.negative_power(enc, 1.0, 4.0, 1e-6)
 
 
-def test_inversion_patch_flag_structure():
-    enc = be.encode(np.diag([1.0]), 1.0)
-    patch = hs.inversion_patch(enc, 0.5, 1e-6)
-    out = patch.apply(np.array([1.0]))
-    # flag-major layout: flag (x) dilation ancilla (x) system
-    flagged = out[2:3]
-    assert abs(flagged[0] - 1.0 / patch.alpha_max) < 1e-9
-    assert is_unitary(patch.unitary)
-
-
 def test_inversion_patch_eigenvector_amplitude():
-    enc = be.encode(np.diag([0.6, 0.1]), 1.0)
-    patch = hs.inversion_patch(enc, 0.5, 1e-6)
-    psi = np.array([1.0, 0.0])
-    out = patch.apply(psi)
-    flagged = out[4:6]  # flag=1, ancilla=0 block
-    assert np.allclose(flagged, (1 / 0.6) / patch.alpha_max * psi, atol=1e-9)
-    # below-threshold eigenvalue is clipped at lam
-    assert abs(patch.good_amplitude(0.1) - (1 / 0.5) / patch.alpha_max) < 1e-12
-
-
-def test_inversion_patch_budget():
-    rng = np.random.default_rng(5)
-    noise = rng.normal(size=(2, 2))
-    noise = noise / spectral_norm(noise) * 5e-3
-    enc = be.encode(np.diag([1.0, 0.6]) + noise).claiming(np.diag([1.0, 0.6]), 1e-2)
-    with pytest.raises(PreconditionError):
-        hs.inversion_patch(enc, 0.25, 1e-4)
+    alpha_max = 2.0 / 0.5  # the default 2 / lam^c for lam = 0.5, c = 1
+    amp = hs.inversion_patch_amplitude
+    assert abs(amp(1.0, 0.5, 1.0, alpha_max) - 1.0 / alpha_max) < 1e-12
+    assert abs(amp(0.6, 0.5, 1.0, alpha_max) - (1 / 0.6) / alpha_max) < 1e-12
+    # the sign follows the eigenvalue
+    assert abs(amp(-0.6, 0.5, 1.0, alpha_max) + (1 / 0.6) / alpha_max) < 1e-12
+    # below-threshold eigenvalue is clipped at phi
+    assert abs(amp(0.1, 0.5, 1.0, alpha_max) - (1 / 0.5) / alpha_max) < 1e-12
+    assert abs(amp(-0.1, 0.5, 1.0, alpha_max) + (1 / 0.5) / alpha_max) < 1e-12
+    # lambda = 0 takes the + sign
+    assert amp(0.0, 0.5, 1.0, alpha_max) == (1 / 0.5) / alpha_max
+    # power c: |lambda|^-c scaled by 1/alpha_max
+    assert abs(amp(0.5, 0.25, 2.0, 8.0) - 0.5**-2 / 8.0) < 1e-12
+    # clamped to [-1, 1]
+    assert amp(0.1, 0.1, 1.0, 2.0) == 1.0
+    assert amp(-0.1, 0.1, 1.0, 2.0) == -1.0

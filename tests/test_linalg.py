@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blockenc import linalg as la
+from blockenc import regression
 from blockenc.capacity import max_dim
 from blockenc.errors import CapacityError, NormError, ZeroVectorError
 from blockenc.mmio import read_matrix, write_matrix
@@ -90,6 +91,19 @@ def test_hermitian_exp_lipschitz():
         for t in (0.1, 1.0, 10.0):
             lhs = la.spectral_norm(la.hermitian_exp(h, t) - la.hermitian_exp(h2, t))
             assert lhs <= abs(t) * la.spectral_norm(h - h2) + 1e-12
+
+
+def test_hermitian_function_keeps_real_input_real():
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4))
+    omega = a @ a.T / 8 + np.eye(4) / 2
+    root = la.hermitian_function(omega, np.sqrt)
+    assert root.dtype == np.float64
+    assert np.allclose(root @ root, omega)
+    assert regression._inv_sqrt(omega).dtype == np.float64
+    # only the Hermitian part of the input is evaluated
+    assert np.allclose(la.hermitian_function(a, lambda w: w), (a + a.T) / 2)
+    assert la.hermitian_function(a + 0j, lambda w: w).dtype == np.complex128
 
 
 def test_dilation_examples():

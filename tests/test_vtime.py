@@ -7,6 +7,38 @@ from blockenc import vtime as vt
 from blockenc.errors import PreconditionError
 
 
+def two_stage_toy(
+    p_stop_bad_1: float,
+    p_good_2: float,
+    t1: float = 1.0,
+    t2: float = 4.0,
+    p_good_1: float = 0.0,
+) -> vt.VSTA:
+    """Two-stage toy: stage 1 stops bad (and optionally good) mass, stage 2 splits the rest."""
+
+    def seg1(stage, label):
+        keep = math.sqrt(max(0.0, 1.0 - p_stop_bad_1 - p_good_1))
+        return [
+            (True, vt.FLAG_BAD, math.sqrt(p_stop_bad_1)),
+            (True, vt.FLAG_GOOD, math.sqrt(p_good_1)),
+            (False, vt.FLAG_NEUTRAL, keep),
+        ]
+
+    def seg2(stage, label):
+        rest = max(0.0, 1.0 - p_stop_bad_1 - p_good_1)
+        if rest <= 0:
+            return [(True, vt.FLAG_BAD, 1.0)]
+        frac_good = p_good_2 / rest
+        if frac_good > 1.0:
+            raise PreconditionError("p_good_2 exceeds the surviving mass")
+        return [
+            (True, vt.FLAG_GOOD, math.sqrt(frac_good)),
+            (True, vt.FLAG_BAD, math.sqrt(max(0.0, 1.0 - frac_good))),
+        ]
+
+    return vt.VSTA(times=(t1, t2), segments=(seg1, seg2), initial={0: 1.0}, name="two-stage-toy")
+
+
 def test_aa_amplitude_examples():
     assert abs(vt.aa_amplitude(0.5, 1) - 1.0) < 1e-12
     assert abs(vt.aa_amplitude(0.1, 2) - math.sin(5 * math.asin(0.1))) < 1e-15
@@ -103,13 +135,14 @@ def test_gpe_contract_sweep():
 
 
 def test_gpe_transform_on_unitary():
+    # the GPE split of each eigenbranch of a unitary, keyed by its eigenphase
     u = np.diag(np.exp(1j * np.array([0.05, 0.3])))
-    tr = vt.gapped_phase_estimation(u, 0.1, 1e-3)
-    splits = dict((round(lam, 3), (a0, a1)) for lam, a0, a1 in tr.branch_amplitudes())
+    splits = {round(lam, 3): vt.gpe_split(lam, 0.1, 1e-3)
+              for lam in map(float, np.angle(np.diag(u)))}
     assert splits[0.05][1] <= 1e-3
     assert splits[0.3][0] <= 1e-3
     with pytest.raises(PreconditionError):
-        vt.gapped_phase_estimation(u, 0.3, 1e-3)
+        vt.gpe_split(0.05, 0.3, 1e-3)
 
 
 def test_amplitude_estimate_zero():
@@ -146,7 +179,7 @@ def test_stopping_profile_single_stage():
 
 
 def test_stopping_profile_two_stage():
-    toy = vt.two_stage_toy(0.3, 0.04)
+    toy = two_stage_toy(0.3, 0.04)
     prof = vt.stopping_profile(toy)
     assert prof.p_stop_at == pytest.approx((0.3, 0.7))
     assert prof.p_succ == pytest.approx(0.04)
@@ -171,16 +204,16 @@ def test_build_vtaa_theta1_input():
 
 
 def test_build_vtaa_success_bound():
-    toy = vt.two_stage_toy(0.3, 0.04)
+    toy = two_stage_toy(0.3, 0.04)
     with pytest.raises(PreconditionError):
         vt.build_vtaa(toy, p_succ_lower=0.5)
 
 
 def test_vtaa_proportionality():
     for p1, pg in [(0.3, 0.04), (0.6, 0.01), (0.1, 0.25)]:
-        res = vt.build_vtaa(vt.two_stage_toy(p1, pg))
+        res = vt.build_vtaa(two_stage_toy(p1, pg))
         amp = res.good_label_amplitudes()
-        un = res.good_label_amplitudes(res.final_unamplified)
+        un = res.good_label_amplitudes(vt.run_unamplified(res.vsta))
         ratios = [amp[k] / un[k] for k in un]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
         fid = abs(sum(np.conj(un[k] / np.linalg.norm(list(un.values()))) * amp[k]
@@ -190,7 +223,7 @@ def test_vtaa_proportionality():
 
 def test_vtaa_cheap_early_stop():
     # most mass stops bad at t_1: cost stays below the naive t_m / sqrt(p_succ)
-    toy = vt.two_stage_toy(0.95, 0.01, t1=1.0, t2=50.0)
+    toy = two_stage_toy(0.95, 0.01, t1=1.0, t2=50.0)
     res = vt.build_vtaa(toy)
     naive = 50.0 / math.sqrt(0.01)
     assert res.run_time <= naive
@@ -198,7 +231,7 @@ def test_vtaa_cheap_early_stop():
 
 
 def test_vtaa_stage_targets():
-    toy = vt.two_stage_toy(0.3, 0.01, t1=1.0, t2=4.0)
+    toy = two_stage_toy(0.3, 0.01, t1=1.0, t2=4.0)
     res = vt.build_vtaa(toy)
     for rec in res.schedule.stages:
         target = vt.stage_target(rec.stage, 2)
@@ -214,14 +247,14 @@ def test_vtaa_ledger_bound_suite():
         p1 = float(rng.uniform(0.05, 0.9))
         pg = float(rng.uniform(0.005, (1 - p1) * 0.9))
         t2 = float(rng.uniform(2.0, 40.0))
-        res = vt.build_vtaa(vt.two_stage_toy(p1, pg, t1=1.0, t2=t2))
+        res = vt.build_vtaa(two_stage_toy(p1, pg, t1=1.0, t2=t2))
         assert res.run_time <= vt.corollary_time_bound(res) * (1 + 1e-9)
 
 
 def test_overhead_product_exp3c_bound():
     # Lemma 12 chain: prod o_j <= exp(sum 3/2 amp_j^2) <= exp(3 C)
     for p1, pg in [(0.3, 0.04), (0.5, 0.02), (0.7, 0.1)]:
-        res = vt.build_vtaa(vt.two_stage_toy(p1, pg))
+        res = vt.build_vtaa(two_stage_toy(p1, pg))
         m = 2
         c_const = 0.0
         exponent = 0.0
@@ -256,7 +289,7 @@ def test_mindful_single_stage():
 
 
 def test_mindful_telescoping_identity():
-    res = vt.build_vtaa(vt.two_stage_toy(0.3, 0.04))
+    res = vt.build_vtaa(two_stage_toy(0.3, 0.04))
     prod = np.prod([r.a for r in res.schedule.stages])
     final = res.schedule.stages[-1].amplitude_after
     assert prod == pytest.approx(final / math.sqrt(res.profile.p_succ))
@@ -267,7 +300,7 @@ def test_mindful_two_stage_contract():
     runs = 300
     for seed in range(runs):
         rng = np.random.default_rng(seed)
-        res = vt.mindful_amplify(vt.two_stage_toy(0.3, 0.04), 0.1, 0.1, rng)
+        res = vt.mindful_amplify(two_stage_toy(0.3, 0.04), 0.1, 0.1, rng)
         final = res.vtaa.schedule.stages[-1].amplitude_after
         ratio = final / (res.gamma * math.sqrt(res.vtaa.profile.p_succ))
         if not 0.9 <= ratio <= 1.1:
