@@ -182,9 +182,8 @@ def _task_sve(p, eps, rng):
     a = _load_matrix(p["matrix"])
     cfg = sve_config(float(p["delta"]), float(p.get("fail", 0.1)))
     enc = encode(a)
-    sing = np.linalg.svd(a, compute_uv=False)
-    psi = normalize(np.linalg.svd(a)[0][:, 0])
-    out = singular_value_estimation(enc, psi, cfg)
+    u, sing, _ = np.linalg.svd(a)
+    out = singular_value_estimation(enc, normalize(u[:, 0]), cfg)
     est = out.branches[0].sample_estimate(rng, cfg.repetitions)
     return est if est is not None else -1.0, float(sing[0]), None, out.ledger.to_dict()
 

@@ -12,6 +12,7 @@ entries, after which reads are safe concurrently.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -188,16 +189,27 @@ class KPTree:
 
     @classmethod
     def load(cls, path) -> "KPTree":
+        """Read a `save` snapshot; its size must be exactly what the header implies."""
         with open(path, "rb") as fh:
             if fh.read(4) != _MAGIC:
                 raise ValueError("not a KP tree snapshot")
-            version, rows, cols = struct.unpack("<IQQ", fh.read(20))
+            header = fh.read(20)
+            if len(header) != 20:
+                raise ValueError("KP tree snapshot is truncated inside its header")
+            version, rows, cols = struct.unpack("<IQQ", header)
             if version != _VERSION:
                 raise ValueError(f"unsupported snapshot version {version}")
+            top_n = 2 * _next_pow2(max(1, rows))
+            row_n = 2 * _next_pow2(max(1, cols))
+            expected = len(_MAGIC) + len(header) + 8 * top_n + rows * (8 * row_n + cols)
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                kind = "truncated" if size < expected else "has trailing bytes"
+                raise ValueError(
+                    f"KP tree snapshot {kind}: {size} bytes, header implies {expected}"
+                )
             tree = cls(rows, cols)
-            top_n = 2 * tree.top.capacity
             tree.top.nodes = np.frombuffer(fh.read(8 * top_n), dtype="<f8").astype(float)
-            row_n = 2 * tree.row_trees[0].capacity
             for i in range(rows):
                 tree.row_trees[i].nodes = np.frombuffer(fh.read(8 * row_n), dtype="<f8").astype(float)
                 tree.signs[i] = np.frombuffer(fh.read(cols), dtype="<i1").astype(float)

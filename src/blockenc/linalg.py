@@ -99,8 +99,9 @@ def pseudoinverse(a, tol: float = 0.0) -> np.ndarray:
     """
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
-    u, s, vh = np.linalg.svd(as_matrix(a), full_matrices=False)
-    cut = max(tol, max(a.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0))
+    m = as_matrix(a)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    cut = max(tol, max(m.shape) * np.finfo(float).eps * (s[0] if len(s) else 0.0))
     keep = s > cut
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return vh.conj().T @ np.diag(inv) @ u.conj().T

@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,16 +83,23 @@ class RegressionProblem:
         if residual_stats(self) > self.eta + 1e-9:
             raise PreconditionError("measured residual exceeds the stated eta")
 
+    @cached_property
+    def omega_inv_sqrt(self) -> np.ndarray:
+        """Omega^{-1/2} (read-only), decomposed once per problem."""
+        m = _inv_sqrt(self.omega)
+        m.flags.writeable = False
+        return m
+
     def design_matrix(self) -> np.ndarray:
         if self.weights is not None:
             return np.sqrt(self.weights)[:, None] * self.x
-        return _inv_sqrt(self.omega) @ self.x
+        return self.omega_inv_sqrt @ self.x
 
     def target_state(self) -> np.ndarray:
         """|b>: the weighted/whitened target, normalized."""
         if self.weights is not None:
             return normalize(np.sqrt(self.weights) * self.y)
-        return normalize(_inv_sqrt(self.omega) @ self.y)
+        return normalize(self.omega_inv_sqrt @ self.y)
 
     @classmethod
     def from_json(cls, path) -> "RegressionProblem":
@@ -231,7 +239,7 @@ def _omega_inv_sqrt_encoding(
 ) -> BlockEncoding:
     kappa_o = problem.kappa_omega
     if route == "omega-inverse-sqrt-encoding":
-        return encode(_inv_sqrt(problem.omega))
+        return encode(problem.omega_inv_sqrt)
     if route == "omega-encoding":
         base = encode(problem.omega)
     elif route == "kp":

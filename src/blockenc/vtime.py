@@ -8,6 +8,12 @@ two-outcome split with amplitudes from the exact boosted outcome
 distribution, so every probability the analysis uses is preserved while the
 register count stays inside the qubit budget.
 
+Amplitude estimation samples its outcome from the exact canonical
+distribution over M grid points (a sum of two Fejer kernels).  Each (angle, M)
+table is kept as a read-only float64 CDF in an LRU cache bounded by
+AE_CACHE_BYTES, and outcomes are drawn by inverting that CDF at uniforms
+from the generator, exactly as Generator.choice does with p=.
+
 All stochastic sampling flows from a caller-supplied seeded generator; runs
 are reproducible bit-for-bit given a seed.
 """
@@ -15,7 +21,8 @@ are reproducible bit-for-bit given a seed.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+import threading
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -125,29 +132,112 @@ def gpe_split(lam: float, phi: float, eps: float) -> tuple[float, float]:
 # -- amplitude estimation -----------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _ae_distribution(theta: float, m_ae: int) -> tuple:
-    """Canonical AE outcome distribution over y in [0, M) for angle theta."""
-    y = np.arange(m_ae)
+# Outcome tables hold m_ae floats each (16 MB at m_ae = 2^21), so the cache is
+# bounded by bytes, not by entries.
+AE_CACHE_BYTES = 64 << 20
+# Generator.choice's tolerance on the sum of a probability vector.
+_PROB_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class _TableCache:
+    """LRU map from keys to read-only arrays, bounded by their total bytes.
+
+    The entry just inserted is never evicted, so a table larger than the
+    budget is still returned; the next insertion drops it.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.tables: OrderedDict[Any, np.ndarray] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            table = self.tables.get(key)
+            if table is not None:
+                self.tables.move_to_end(key)
+                return table
+            table = build()
+            table.flags.writeable = False
+            self.tables[key] = table
+            self.nbytes += table.nbytes
+            while self.nbytes > self.budget and len(self.tables) > 1:
+                _, old = self.tables.popitem(last=False)
+                self.nbytes -= old.nbytes
+            return table
+
+
+_AE_CDFS = _TableCache(AE_CACHE_BYTES)
+
+
+def _fejer_inplace(delta: np.ndarray, m_ae: int, buf: np.ndarray) -> None:
+    """Overwrite delta with sin^2(pi M d) / (M sin(pi d))^2, d = delta wrapped to [-1/2, 1/2).
+
+    The kernel is 1 where |d| < 1e-14.  `buf` is clobbered.  The float
+    operations are those of `np.sin(np.pi * M * d) ** 2 / (M * np.sin(np.pi * d)) ** 2`
+    in the same order, so the result is bit-for-bit that expression's; a
+    reordering would change the seeded draws and the report bytes.
+    """
+    delta += 0.5
+    np.mod(delta, 1.0, out=delta)
+    delta -= 0.5
+    tiny = np.flatnonzero(np.abs(delta, out=buf) < 1e-14)
+    np.multiply(np.pi, delta, out=buf)
+    np.sin(buf, out=buf)
+    buf *= m_ae
+    np.square(buf, out=buf)
+    delta *= np.pi * m_ae
+    np.sin(delta, out=delta)
+    np.square(delta, out=delta)
+    buf[tiny] = 1.0
+    delta[tiny] = 1.0
+    delta /= buf
+
+
+def _ae_outcome_cdf(theta: float, m_ae: int) -> np.ndarray:
+    """CDF of the canonical AE outcome y in [0, M) for angle theta.
+
+    p(y) = (F(y/M - w) + F(y/M + w)) / 2 with w = theta/pi and F the Fejer
+    kernel, normalised to sum 1.  The CDF is formed as Generator.choice forms
+    it (cumulative sum divided by its last entry), after choice's check that
+    p is a probability vector, so searchsorted on it reproduces choice's
+    draws.  Works in place on three buffers of M floats.
+    """
     omega = theta / math.pi
+    p = np.arange(m_ae) / m_ae
+    upper = p + omega
+    p -= omega
+    buf = np.empty_like(p)
+    _fejer_inplace(p, m_ae, buf)
+    _fejer_inplace(upper, m_ae, buf)
+    p += upper
+    p *= 0.5
+    p /= p.sum()
+    if not p.min() >= 0.0:
+        raise ValueError("AE outcome probabilities are not non-negative")
+    np.cumsum(p, out=p)
+    if not abs(p[-1] - 1.0) <= _PROB_ATOL:
+        raise ValueError("AE outcome probabilities do not sum to 1")
+    p /= p[-1]
+    return p
 
-    def kernel(delta):
-        delta = np.mod(delta + 0.5, 1.0) - 0.5
-        tiny = np.abs(delta) < 1e-14
-        num = np.sin(np.pi * m_ae * delta) ** 2
-        den = (m_ae * np.sin(np.pi * delta)) ** 2
-        return np.where(tiny, 1.0, num / np.where(tiny, 1.0, den))
 
-    p = 0.5 * (kernel(y / m_ae - omega) + kernel(y / m_ae + omega))
-    p = p / p.sum()
-    return tuple(p)
+def _ae_cdf(theta: float, m_ae: int) -> np.ndarray:
+    """Cached read-only `_ae_outcome_cdf`, keyed by theta rounded to 14 digits."""
+    key = (round(theta, 14), m_ae)
+    return _AE_CDFS.get(key, lambda: _ae_outcome_cdf(*key))
 
 
 def ae_sample_estimates(amplitude: float, m_ae: int, reps: int, rng) -> np.ndarray:
-    """Sample `reps` raw AE estimates sin(pi y / M) from the exact distribution."""
+    """Sample `reps` raw AE estimates sin(pi y / M) from the exact distribution.
+
+    The outcomes y are drawn by inverting the cached CDF at `reps` uniforms,
+    which is how `rng.choice(M, size=reps, p=p)` samples: the same draws,
+    and the generator advances by the same `rng.random(reps)`.
+    """
     theta = math.asin(min(max(amplitude, 0.0), 1.0))
-    p = np.array(_ae_distribution(round(theta, 14), m_ae))
-    ys = rng.choice(m_ae, size=reps, p=p)
+    ys = _ae_cdf(theta, m_ae).searchsorted(rng.random(reps), side="right")
     return np.sin(np.pi * ys / m_ae)
 
 

@@ -145,6 +145,26 @@ def test_snapshot_rejects_garbage(tmp_path):
         KPTree.load(tmp_path / "bad.kpt")
 
 
+@pytest.mark.parametrize(
+    "message, damage",
+    [("trailing bytes", lambda data: data + b"\x00"), ("truncated", lambda data: data[:-1])],
+)
+def test_snapshot_size_checked(tmp_path, message, damage):
+    tree = KPTree.from_matrix(np.random.default_rng(5).normal(size=(3, 5)))
+    tree.save(tmp_path / "tree.kpt")
+    (tmp_path / "bad.kpt").write_bytes(damage((tmp_path / "tree.kpt").read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        KPTree.load(tmp_path / "bad.kpt")
+
+
+def test_snapshot_truncated_header(tmp_path):
+    tree = KPTree.from_matrix(np.eye(2))
+    tree.save(tmp_path / "tree.kpt")
+    (tmp_path / "bad.kpt").write_bytes((tmp_path / "tree.kpt").read_bytes()[:10])
+    with pytest.raises(ValueError, match="header"):
+        KPTree.load(tmp_path / "bad.kpt")
+
+
 def test_bulk_load_matrix_market(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 3))

@@ -36,6 +36,7 @@ def test_svd_reassembles():
 def test_pseudoinverse_rank_deficient():
     assert np.allclose(la.pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
     assert np.allclose(la.pseudoinverse(np.eye(3)), np.eye(3))
+    assert np.allclose(la.pseudoinverse([[2.0, 0.0], [0.0, 0.0]]), np.diag([0.5, 0.0]))
 
 
 def test_pseudoinverse_incidence_block_identity():

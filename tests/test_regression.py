@@ -14,6 +14,18 @@ def line_problem():
     return rg.RegressionProblem(x=x, y=2 * x[:, 0], weights=np.ones(2), kappa_a=4.0, eta=0.1)
 
 
+def test_gls_problem_decomposes_omega_once(monkeypatch):
+    calls = []
+    inv_sqrt = rg._inv_sqrt
+    monkeypatch.setattr(rg, "_inv_sqrt", lambda omega: calls.append(1) or inv_sqrt(omega))
+    prob = random_gls_problem(np.random.default_rng(0), 64, 8)
+    assert len(calls) == 1
+    prob.design_matrix(), prob.target_state(), rg.residual_stats(prob)
+    assert len(calls) == 1
+    assert np.array_equal(prob.omega_inv_sqrt, inv_sqrt(prob.omega))
+    assert not prob.omega_inv_sqrt.flags.writeable
+
+
 def test_residual_exact_fit():
     assert rg.residual_stats(line_problem()) == pytest.approx(0.0, abs=1e-12)
 

@@ -170,6 +170,88 @@ def test_amplitude_estimate_ledger_doubles_per_bit():
     assert r4.ledger.total_queries() == pytest.approx(2 * r3.ledger.total_queries())
 
 
+def _choice_probabilities(theta: float, m_ae: int) -> np.ndarray:
+    """The AE outcome distribution as it was fed to rng.choice before the CDF cache."""
+    y = np.arange(m_ae)
+    omega = theta / math.pi
+
+    def kernel(delta):
+        delta = np.mod(delta + 0.5, 1.0) - 0.5
+        tiny = np.abs(delta) < 1e-14
+        num = np.sin(np.pi * m_ae * delta) ** 2
+        den = (m_ae * np.sin(np.pi * delta)) ** 2
+        return np.where(tiny, 1.0, num / np.where(tiny, 1.0, den))
+
+    p = 0.5 * (kernel(y / m_ae - omega) + kernel(y / m_ae + omega))
+    return p / p.sum()
+
+
+@pytest.mark.parametrize(
+    "amplitude, m_ae, reps, seed",
+    [
+        (0.3, 64, 37, 0),
+        (math.sin(math.pi / 4), 8, 21, 1),  # omega * M = 2: the kernel's tiny branch
+        (0.0, 16, 9, 2),  # omega = 0: tiny branch at y = 0
+        (1.0, 32, 9, 3),  # omega = 1/2: tiny branch at y = M/2
+        (0.0123, 1 << 12, 109, 4),
+        (0.7, 1 << 16, 55, 5),
+    ],
+)
+def test_ae_samples_match_choice_draw_for_draw(monkeypatch, amplitude, m_ae, reps, seed):
+    monkeypatch.setattr(vt, "_AE_CDFS", vt._TableCache(vt.AE_CACHE_BYTES))
+    theta = round(math.asin(amplitude), 14)
+    p = _choice_probabilities(theta, m_ae)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):  # a cache miss, then a hit
+        got = vt.ae_sample_estimates(amplitude, m_ae, reps, rng)
+        want = np.sin(np.pi * ref.choice(m_ae, size=reps, p=p) / m_ae)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    cdf = p.cumsum()  # as Generator.choice forms it
+    cdf /= cdf[-1]
+    assert np.array_equal(vt._ae_cdf(theta, m_ae), cdf)
+
+
+def test_ae_cache_bounded_by_bytes(monkeypatch):
+    m_ae = 1 << 20  # 8 MiB per table
+    cache = vt._TableCache(vt.AE_CACHE_BYTES)
+    monkeypatch.setattr(vt, "_AE_CDFS", cache)
+    thetas = [round(0.1 + 0.01 * k, 14) for k in range(12)]
+    for theta in thetas:
+        vt._ae_cdf(theta, m_ae)
+        assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
+        assert cache.nbytes <= vt.AE_CACHE_BYTES
+    kept = vt.AE_CACHE_BYTES // (8 * m_ae)
+    assert list(cache.tables) == [(t, m_ae) for t in thetas[-kept:]]
+
+
+def test_table_cache_keeps_the_newest_entry():
+    cache = vt._TableCache(budget=100)
+    big = cache.get("big", lambda: np.zeros(20))  # 160 bytes, over budget
+    assert list(cache.tables) == ["big"] and cache.nbytes == 160
+    assert cache.get("big", lambda: np.ones(20)) is big
+    cache.get("a", lambda: np.zeros(4))
+    cache.get("b", lambda: np.zeros(4))
+    assert list(cache.tables) == ["a", "b"] and cache.nbytes == 64
+    cache.get("a", lambda: np.zeros(4))  # a hit moves "a" to the newest end
+    cache.get("c", lambda: np.zeros(8))
+    assert list(cache.tables) == ["a", "c"] and cache.nbytes == 96
+
+
+def test_ae_cdf_is_read_only():
+    cdf = vt._ae_cdf(0.4, 64)
+    assert not cdf.flags.writeable
+    with pytest.raises(ValueError):
+        cdf[0] = 0.0
+    assert vt._ae_cdf(0.4, 64) is cdf
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+
+
+def test_ae_cdf_rejects_non_probabilities():
+    with pytest.raises(ValueError):
+        vt._ae_outcome_cdf(float("nan"), 8)
+
+
 def test_stopping_profile_single_stage():
     single = vt.VSTA(times=(2.0,), segments=((lambda j, l: [(True, vt.FLAG_GOOD, 1.0)]),),
                      initial={0: 1.0})
