@@ -1,7 +1,10 @@
 """Simulated register capacity.
 
-Every explicit unitary or state vector lives in a dense array, so the total
-register size is capped.  The default budget is 14 qubits; the environment
+The cap bounds the simulated register: a state vector's dimension, and a
+block-encoding's system_dim * 2^ancillas.  An encoding allocates only its
+system_dim x system_dim block, but the register its circuit acts on is
+still checked, so a composition cannot describe more qubits than the budget
+whatever it stores.  The default budget is 14 qubits; the environment
 variable BLOCKENC_MAX_QUBITS can raise it, but never above 20.
 """
 

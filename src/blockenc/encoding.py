@@ -1,9 +1,14 @@
-"""Block-encodings: explicit unitaries with (alpha, ancillas, epsilon) metadata.
+"""Block-encodings: the encoded block with (alpha, ancillas, epsilon) metadata.
 
 A unitary U is an (alpha, a, epsilon)-block-encoding of A when
 ||A - alpha (<0|^a x I) U (|0>^a x I)|| <= epsilon.  The full register is
-ordered ancilla (x) system, so the encoded block is literally the top-left
-system_dim x system_dim corner of the matrix.
+ordered ancilla (x) system, so the encoded block is the top-left
+system_dim x system_dim corner of U.  That corner is all the definition
+constrains and all any construction reads, so it is what an encoding stores:
+each constructor writes its block in closed form (a product of blocks, the
+symmetrized block, the Gram matrix of two state families, ...).  The
+d * 2^a register of U is simulated, not allocated; `unitary` builds a
+1-ancilla unitary with the same block on request.
 
 Encodings may carry a claimed target matrix; verification mode measures the
 block-extraction error against it.  All values are immutable after
@@ -27,8 +32,6 @@ from .linalg import (
     as_state,
     complement_matrix,
     embed,
-    embed_operator,
-    permute_factors,
     spectral_norm,
     unitary_dilation,
 )
@@ -38,9 +41,14 @@ _FP_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """(alpha, ancillas, epsilon)-block-encoding with explicit unitary and ledger."""
+    """(alpha, ancillas, epsilon)-block-encoding stored as its block, plus a ledger.
 
-    unitary: np.ndarray
+    `corner` is the block (<0|^a x I) U (|0>^a x I), a system_dim x system_dim
+    array.  `ancillas` sizes the simulated register system_dim * 2^ancillas,
+    which the capacity cap bounds even though no array of that size exists.
+    """
+
+    corner: np.ndarray
     alpha: float
     ancillas: int
     epsilon: float
@@ -49,12 +57,11 @@ class BlockEncoding:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        dim = self.system_dim << self.ancillas
-        check_dim(dim, "block-encoding")
-        if self.unitary.shape != (dim, dim):
+        check_dim(self.system_dim << self.ancillas, "block-encoding")
+        if self.corner.shape != (self.system_dim, self.system_dim):
             raise DimensionError(
-                f"unitary of shape {self.unitary.shape} does not equal "
-                f"system_dim * 2^ancillas = {dim}"
+                f"block of shape {self.corner.shape} is not square of the "
+                f"system dimension {self.system_dim}"
             )
         if self.alpha < 0 or self.epsilon < 0:
             raise ValueError("alpha and epsilon must be non-negative")
@@ -63,7 +70,16 @@ class BlockEncoding:
 
     def block(self) -> np.ndarray:
         """The encoded block (<0|^a x I) U (|0>^a x I)."""
-        return self.unitary[: self.system_dim, : self.system_dim]
+        return self.corner
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The 1-ancilla dilation of the block, built on each access.
+
+        It has the same block as the `ancillas`-ancilla circuit the encoding
+        stands for, on a register of 2 system_dim instead.
+        """
+        return unitary_dilation(self.corner)
 
     def applied(self) -> np.ndarray:
         """alpha * block: the matrix this encoding effectively stands for."""
@@ -90,15 +106,8 @@ class BlockEncoding:
         return replace(self, alpha=self.alpha / s, epsilon=self.epsilon / s, target=tgt)
 
 
-def _pad_ancillas(u: np.ndarray, extra: int) -> np.ndarray:
-    """Prepend `extra` idle ancilla qubits (identity action)."""
-    if extra == 0:
-        return u
-    return np.kron(np.eye(1 << extra), u)
-
-
 def encode(a, alpha: float | None = None, oracle: str = "dense") -> BlockEncoding:
-    """Exact (alpha, 1, 0)-encoding of a square matrix via unitary dilation."""
+    """Exact (alpha, 1, 0)-encoding of a square matrix: the block is A / alpha."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError("encode expects a square matrix; embed rectangular inputs first")
@@ -107,9 +116,8 @@ def encode(a, alpha: float | None = None, oracle: str = "dense") -> BlockEncodin
         alpha = max(nrm, 1e-300)
     if alpha < nrm - 1e-12:
         raise NormError(f"alpha = {alpha} is smaller than ||A|| = {nrm}")
-    u = unitary_dilation(m / alpha)
     return BlockEncoding(
-        unitary=u,
+        corner=m / alpha,
         alpha=float(alpha),
         ancillas=1,
         epsilon=0.0,
@@ -125,19 +133,15 @@ def product(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:
         raise DimensionError(
             f"system dimensions differ: {u.system_dim} vs {v.system_dim}"
         )
-    d = u.system_dim
-    dims = (1 << u.ancillas, 1 << v.ancillas, d)
-    u_full = embed_operator(u.unitary, dims, (0, 2))
-    v_full = embed_operator(v.unitary, dims, (1, 2))
     target = None
     if u.target is not None and v.target is not None:
         target = u.target @ v.target
     return BlockEncoding(
-        unitary=u_full @ v_full,
+        corner=u.corner @ v.corner,
         alpha=u.alpha * v.alpha,
         ancillas=u.ancillas + v.ancillas,
         epsilon=u.alpha * v.epsilon + v.alpha * u.epsilon,
-        system_dim=d,
+        system_dim=u.system_dim,
         ledger=(u.ledger + v.ledger).with_gates(1.0),
         target=target,
     )
@@ -161,7 +165,7 @@ def amplify(u: BlockEncoding, gamma: float) -> BlockEncoding:
         block = block / nrm * min(nrm, 1.0)  # rounding guard; encoded matrix norm <= 1 + eps
     rounds = max(1.0, u.alpha * math.log2(1.0 / gamma))
     return BlockEncoding(
-        unitary=_pad_ancillas(unitary_dilation(block), u.ancillas),
+        corner=block,
         alpha=math.sqrt(2.0),
         ancillas=u.ancillas + 1,
         epsilon=u.epsilon + gamma,
@@ -180,20 +184,18 @@ def preamplified_product(u: BlockEncoding, v: BlockEncoding, gamma: float) -> Bl
 
 
 def complement(u: BlockEncoding) -> BlockEncoding:
-    """Encoding of the symmetrized [[0, A], [A^dagger, 0]] via cU^dagger (X) cU."""
-    d = u.system_dim
-    a_dim = 1 << u.ancillas
-    ctrl_first = scipy.linalg.block_diag(np.eye(a_dim * d), u.unitary)
-    c_u = permute_factors(ctrl_first, (2, a_dim, d), (1, 0, 2))
-    x_mid = embed_operator(np.array([[0, 1], [1, 0]], dtype=complex), (a_dim, 2, d), (1,))
-    w = c_u.conj().T @ x_mid @ c_u
+    """Encoding of the symmetrized [[0, A], [A^dagger, 0]] via cU^dagger (X) cU.
+
+    Its block is [[0, B], [B^dagger, 0]] for the block B of u.
+    """
     target = None if u.target is None else complement_matrix(u.target)
     return BlockEncoding(
-        unitary=_pad_ancillas(w, 1),
+        # + 0.0 turns the -0.0 imaginary parts that conj() leaves into +0.0
+        corner=complement_matrix(u.corner) + 0.0,
         alpha=u.alpha,
         ancillas=u.ancillas + 1,
         epsilon=u.epsilon,
-        system_dim=2 * d,
+        system_dim=2 * u.system_dim,
         ledger=u.ledger.scaled(2.0).with_gates(1.0),
         target=target,
     )
@@ -229,7 +231,7 @@ def lcu(encodings: list[BlockEncoding], coeffs) -> BlockEncoding:
     for e in encodings:
         ledger = ledger + e.ledger
     return BlockEncoding(
-        unitary=_pad_ancillas(unitary_dilation(combo), ancillas - 1),
+        corner=combo,
         alpha=alpha,
         ancillas=ancillas,
         epsilon=float(np.sum(np.abs(coeffs) * [e.epsilon for e in encodings])),
@@ -253,7 +255,7 @@ def restrict(u: BlockEncoding, dim: int) -> BlockEncoding:
         block = block / nrm
     target = None if u.target is None else u.target[:dim, :dim]
     return BlockEncoding(
-        unitary=unitary_dilation(block),
+        corner=block,
         alpha=u.alpha,
         ancillas=1,
         epsilon=u.epsilon,
@@ -264,9 +266,9 @@ def restrict(u: BlockEncoding, dim: int) -> BlockEncoding:
 
 
 def compact(u: BlockEncoding) -> BlockEncoding:
-    """Re-dilate the extracted block into a 1-ancilla encoding.
+    """The same block as a 1-ancilla encoding (its 1-ancilla dilation).
 
-    Metadata (alpha, epsilon, ledger, target) is preserved; only the physical
+    Metadata (alpha, epsilon, ledger, target) is preserved; only the simulated
     register is compressed.  Deep pipelines use this between stages to stay
     inside the qubit budget.
     """
@@ -274,7 +276,7 @@ def compact(u: BlockEncoding) -> BlockEncoding:
     nrm = spectral_norm(block)
     if nrm > 1.0:
         block = block / nrm
-    return replace(u, unitary=unitary_dilation(block), ancillas=1)
+    return replace(u, corner=block, ancillas=1)
 
 
 def sparse_oracles(a: np.ndarray):
@@ -345,7 +347,7 @@ def from_sparse_access(
         gates=math.log2(max(rows * cols, 2) / max(eps, 1e-15)) ** 2,
     )
     return BlockEncoding(
-        unitary=unitary_dilation(a_pad / alpha),
+        corner=a_pad / alpha,
         alpha=alpha,
         ancillas=1,
         epsilon=float(eps),
@@ -353,21 +355,6 @@ def from_sparse_access(
         ledger=ledger,
         target=a_pad,
     )
-
-
-def _complete_unitary(columns: dict[int, np.ndarray], dim: int) -> np.ndarray:
-    """Unitary with the prescribed orthonormal columns; the rest completed."""
-    u = np.zeros((dim, dim), dtype=complex)
-    given = np.column_stack([columns[i] for i in sorted(columns)])
-    rest = scipy.linalg.null_space(given.conj().T)
-    free = [i for i in range(dim) if i not in columns]
-    if rest.shape[1] != len(free):
-        raise RuntimeError("prescribed columns are not orthonormal")
-    for i, col in columns.items():
-        u[:, i] = col
-    for k, i in enumerate(free):
-        u[:, i] = rest[:, k]
-    return u
 
 
 def from_kp(
@@ -383,13 +370,17 @@ def from_kp(
 ) -> tuple[BlockEncoding, MuParams]:
     """(mu, ceil(log(N+M+1)), eps)-encoding of [[0, A], [A^dag, 0]] from KP trees.
 
-    Built as U_R^dagger U_L from the row/column state families whose pairwise
-    inner products reproduce the symmetrized matrix over mu.  With
-    square=True the encoding targets A itself (the construction is the same
-    with single-index state families); A must then be stored padded square.
+    Built as U_R^dagger U_L from the row/column state families psi_j, phi_k
+    whose pairwise inner products reproduce the symmetrized matrix over mu.
+    The block of U_R^dagger U_L is their Gram matrix <psi_j|phi_k>, so no
+    unitary is completed.  With square=True the encoding targets A itself (the
+    construction is the same with single-index state families); A must then
+    be stored padded square.
 
-    `perturb` rotates U_R by a random generator of that size, standing in for
-    the state-preparation discretization error; it must stay below eps.
+    `perturb` rotates the row family by exp(i perturb G / mu) for a random
+    real symmetric G of unit norm, standing in for the state-preparation
+    discretization error; the encoded matrix mu * block moves by at most
+    perturb, which must stay below eps.
     """
     mu = mu_of(mode, tree=tree, tree_p=tree_p, tree_q=tree_q, p=p)
     base = tree if mode == "frobenius" else tree_p
@@ -411,22 +402,20 @@ def from_kp(
 
     check_dim(q_dim * q_dim, "kp encoding")
     _pad_state_families(psi, phi, q_dim)
-    u_r = _complete_unitary({i: psi[i] for i in range(q_dim)}, q_dim * q_dim)
-    u_l = _complete_unitary({i: phi[i] for i in range(q_dim)}, q_dim * q_dim)
+    rows = np.column_stack(psi)
     if perturb > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
-        gen = rng.normal(size=(q_dim * q_dim, q_dim * q_dim))
+        gen = rng.normal(size=(q_dim, q_dim))
         gen = gen + gen.T
         gen = gen / spectral_norm(gen)
-        u_r = u_r @ scipy.linalg.expm(1j * perturb * gen)
-    unitary = u_r.conj().T @ u_l
+        rows = rows @ scipy.linalg.expm(1j * (perturb / mu.value) * gen)
     ledger = CostLedger(
         {"kp_row_prep": 1.0, "kp_norm_prep": 1.0},
         gates=math.log2(max(m_rows * n_cols, 2) / max(eps, 1e-15)) ** 2,
     )
     encoding = BlockEncoding(
-        unitary=unitary,
+        corner=rows.conj().T @ np.column_stack(phi),
         alpha=mu.value,
         ancillas=int(round(math.log2(q_dim))),
         epsilon=float(eps),
@@ -473,15 +462,13 @@ def from_kp_weighted(
     small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
     target_small = complement_matrix(np.sqrt(w)[:, None] * small)
     _pad_state_families(psi, phi, q_dim)
-    u_r = _complete_unitary({i: psi[i] for i in range(q_dim)}, q_dim * q_dim)
-    u_l = _complete_unitary({i: phi[i] for i in range(q_dim)}, q_dim * q_dim)
     alpha = math.sqrt(w_max) * mu.value
     ledger = CostLedger(
         {"kp_row_prep": 1.0, "kp_norm_prep": 1.0, "weight_oracle": 1.0},
         gates=math.log2(max(base.rows * base.cols, 2) / max(eps, 1e-15)) ** 2,
     )
     encoding = BlockEncoding(
-        unitary=u_r.conj().T @ u_l,
+        corner=np.column_stack(psi).conj().T @ np.column_stack(phi),
         alpha=alpha,
         ancillas=int(round(math.log2(q_dim))),
         epsilon=float(eps),
@@ -596,8 +583,8 @@ def _kp_states_square(mode, tree, tree_p, tree_q, m_rows, n_cols):
 def _pad_state_families(psi, phi, q_dim):
     """Fill unused family slots with vectors orthogonal to both real families.
 
-    Keeps the encoded block exactly equal to the padded target: padding rows
-    and columns of U_R^dagger U_L restricted to ancilla |0> come out zero.
+    Keeps the encoded block close to the padded target: the padding rows and
+    columns of the Gram matrix come out zero up to rounding.
     """
     real = [v for v in psi if np.any(v)] + [v for v in phi if np.any(v)]
     missing_psi = [i for i, v in enumerate(psi) if not np.any(v)]

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BlockEncoding, _pad_ancillas
-from .errors import PreconditionError, SpectrumError
-from .linalg import hermitian_function, hermitianize, spectral_norm, unitary_dilation
+from .encoding import BlockEncoding
+from .errors import NormError, PreconditionError, SpectrumError
+from .linalg import CONSTRUCTION_TOL, hermitian_function, hermitianize, spectral_norm
 
 _SPECTRUM_SLACK = 1e-9
 
@@ -47,7 +47,7 @@ def block_ham_sim(u: BlockEncoding, t: float, eps: float) -> BlockEncoding:
     rounds = abs(u.alpha * t) + _log2(1.0 / eps) if eps > 0 else abs(u.alpha * t) + 1.0
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
-        unitary=_pad_ancillas(func, u.ancillas + 2),
+        corner=func,
         alpha=1.0,
         ancillas=u.ancillas + 2,
         epsilon=float(eps),
@@ -206,7 +206,7 @@ def smooth_function(
         f = exact_f if exact_f is not None else (lambda x: series.evaluate(x, degree))
         target = hermitian_function(u.target, f)
     return BlockEncoding(
-        unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
+        corner=block,
         alpha=b,
         ancillas=u.ancillas + 2,
         epsilon=b * eps_prime,
@@ -216,7 +216,8 @@ def smooth_function(
     )
 
 
-def _check_positive_spectrum(u: BlockEncoding, kappa: float, allow_negative: bool):
+def _check_positive_spectrum(u: BlockEncoding, kappa: float, allow_negative: bool) -> np.ndarray:
+    """Eigenvalues of the symmetrized block, checked to lie (in modulus) in [1/kappa, 1]."""
     w = np.linalg.eigvalsh(_sym_block(u))
     slack = u.epsilon + _SPECTRUM_SLACK
     vals = np.abs(w) if allow_negative else w
@@ -225,6 +226,7 @@ def _check_positive_spectrum(u: BlockEncoding, kappa: float, allow_negative: boo
             f"eigenvalues must lie in {'± ' if allow_negative else ''}[1/kappa, 1]; got "
             f"range [{vals.min():.3g}, {vals.max():.3g}] for kappa = {kappa}"
         )
+    return w
 
 
 def _power_budget(kappa: float, c: float, eps: float) -> float:
@@ -270,7 +272,7 @@ def negative_power(
         block = block / nrm
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
-        unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
+        corner=block,
         alpha=alpha_out,
         ancillas=u.ancillas + 2,
         epsilon=float(eps),
@@ -288,12 +290,14 @@ def positive_power(
         raise PreconditionError(f"c must lie in (0, 1], got {c}")
     if kappa < 2:
         raise PreconditionError(f"kappa must be >= 2, got {kappa}")
-    _check_positive_spectrum(u, kappa, allow_negative=False)
+    w = _check_positive_spectrum(u, kappa, allow_negative=False)
     if path == "series":
         series = positive_power_series(c, kappa, eps / 2.0)
         return smooth_function(u, series, eps / 2.0, exact_f=lambda x: x**c)
     if path != "spectral":
         raise ValueError(f"unknown path {path!r}")
+    if np.max(w) ** c / 2.0 > 1.0 + CONSTRUCTION_TOL:
+        raise NormError(f"||H^c|| / 2 = {np.max(w) ** c / 2.0} exceeds 1")
 
     def f(w):
         return np.maximum(w, 0.0) ** c
@@ -302,7 +306,7 @@ def positive_power(
     rounds = u.alpha * kappa * _log2(kappa / eps)
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
-        unitary=_pad_ancillas(unitary_dilation(block), u.ancillas + 1),
+        corner=block,
         alpha=2.0,
         ancillas=u.ancillas + 2,
         epsilon=float(eps),

@@ -28,9 +28,10 @@ from .linalg import complement_matrix, embed, hermitianize, normalize, spectral_
 from .mmio import read_matrix, read_vector
 from .network import (
     build_network,
-    dissipated_power,
+    effective_resistance,
     parse_edge_list,
     reference_dissipated_power,
+    unit_current,
 )
 from .regression import RegressionProblem, classical_beta, gls_solve, wls_solve
 from .solvers import naive_solve, qls_solve, sve_config, singular_value_estimation
@@ -248,14 +249,11 @@ def _task_network(p, eps, rng):
     else:
         net = build_network(spec)
     s, t = int(p["s"]), int(p["t"])
-    i_ext = np.zeros(net.n_vertices)
-    i_ext[s], i_ext[t] = 1.0, -1.0
-    delta = float(p.get("delta", 1.0 / 3.0))
-    est = dissipated_power(
-        net, i_ext, eps=float(p.get("epsilon", 0.1)), delta=delta, rng=rng,
-        route=p.get("route", "exact"),
+    est = effective_resistance(
+        net, s, t, eps=float(p.get("epsilon", 0.1)), delta=float(p.get("delta", 1.0 / 3.0)),
+        rng=rng, route=p.get("route", "exact"),
     )
-    ref = reference_dissipated_power(net, i_ext)
+    ref = reference_dissipated_power(net, unit_current(net.n_vertices, s, t))
     return est.value, ref, None, est.ledger.to_dict()
 
 

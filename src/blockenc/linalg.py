@@ -120,32 +120,30 @@ def hermitian_exp(h, t: float) -> np.ndarray:
     return hermitian_function(m, lambda w: np.exp(1j * t * w))
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD matrix, negative eigenvalues clamped to 0.
-
-    Negative eigenvalues only arise from rounding (inputs are I - BB^dagger
-    with ||B|| <= 1 + 1e-12), and clamping keeps the dilation unitary.
-    """
-    return hermitian_function(a, lambda w: np.sqrt(np.maximum(w, 0.0)))
-
-
 def unitary_dilation(b) -> np.ndarray:
     """2x2-block unitary [[B, sqrt(I-BB')], [sqrt(I-B'B), -B']] with B top-left.
 
-    B may be rectangular (m x n); the result is (m+n) x (m+n).
+    B may be rectangular (m x n); the result is (m+n) x (m+n).  Both square
+    roots come from one SVD B = W diag(s) V', as W sqrt(1-s^2) W' and
+    V sqrt(1-s^2) V', so the off-diagonal blocks of U'U cancel to rounding
+    even where a singular value is 1 (e.g. a unitary block).  Singular values
+    above 1 by rounding are clamped to 1.
     """
     m = as_matrix(b, "block")
-    nrm = spectral_norm(m)
-    if nrm > 1.0 + CONSTRUCTION_TOL:
-        raise NormError(f"dilation requires ||B|| <= 1 + 1e-12, got ||B|| = {nrm}")
     rows, cols = m.shape
     check_dim(rows + cols, "dilation")
-    top_right = psd_sqrt(np.eye(rows) - m @ m.conj().T)
-    bottom_left = psd_sqrt(np.eye(cols) - m.conj().T @ m)
+    w, s, vh = np.linalg.svd(m)
+    if s[0] > 1.0 + CONSTRUCTION_TOL:
+        raise NormError(f"dilation requires ||B|| <= 1 + 1e-12, got ||B|| = {s[0]}")
+    c = np.sqrt(np.maximum(1.0 - s**2, 0.0))
+    c_rows = np.ones(rows)
+    c_rows[: len(s)] = c
+    c_cols = np.ones(cols)
+    c_cols[: len(s)] = c
     u = np.zeros((rows + cols, rows + cols), dtype=complex)
     u[:rows, :cols] = m
-    u[:rows, cols:] = top_right
-    u[rows:, :cols] = bottom_left
+    u[:rows, cols:] = (w * c_rows) @ w.conj().T
+    u[rows:, :cols] = (vh.conj().T * c_cols) @ vh
     u[rows:, cols:] = -m.conj().T
     return u
 
@@ -173,31 +171,3 @@ def complement_matrix(a) -> np.ndarray:
     out[:rows, rows:] = m
     out[rows:, :rows] = m.conj().T
     return out
-
-
-def permute_factors(op: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    """Reorder tensor factors of an operator.
-
-    `op` acts on factors ordered per `dims`; the result acts on the factors
-    reordered so that new factor i is old factor perm[i].
-    """
-    k = len(dims)
-    total = int(np.prod(dims))
-    if op.shape != (total, total):
-        raise DimensionError(f"operator shape {op.shape} does not match dims {dims}")
-    tensor = op.reshape(dims + dims)
-    axes = tuple(perm) + tuple(p + k for p in perm)
-    return tensor.transpose(axes).reshape(total, total)
-
-
-def embed_operator(op: np.ndarray, dims: tuple[int, ...], active: tuple[int, ...]) -> np.ndarray:
-    """Lift an operator acting on the `active` factors to the full tensor space."""
-    active = tuple(active)
-    rest = tuple(i for i in range(len(dims)) if i not in active)
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(op, np.eye(rest_dim))
-    # big acts on (active..., rest...); permute back to the natural order
-    order = active + rest
-    inverse = tuple(int(np.argwhere(np.array(order) == i)[0, 0]) for i in range(len(dims)))
-    big_dims = tuple(dims[i] for i in order)
-    return permute_factors(big, big_dims, inverse)

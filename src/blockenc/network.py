@@ -132,6 +132,16 @@ def external_current(values) -> np.ndarray:
     return vec
 
 
+def unit_current(n_vertices: int, s: int, t: int) -> np.ndarray:
+    """The unit external current entering at vertex s and leaving at vertex t."""
+    if s == t:
+        raise PreconditionError("effective resistance needs distinct vertices")
+    i_ext = np.zeros(n_vertices)
+    i_ext[s] = 1.0
+    i_ext[t] = -1.0
+    return i_ext
+
+
 def reference_dissipated_power(network: ElectricalNetwork, i_ext) -> float:
     """Classical oracle: i_ext^T L^+ i_ext = ||C^+ i_ext||^2."""
     i_ext = external_current(i_ext)
@@ -218,11 +228,7 @@ def effective_resistance(
     lam_lower: float | None = None,
 ) -> PowerEstimate:
     """Effective resistance: dissipated power of the unit s -> t external current."""
-    if s == t:
-        raise PreconditionError("effective resistance needs distinct vertices")
-    i_ext = np.zeros(network.n_vertices)
-    i_ext[s] = 1.0
-    i_ext[t] = -1.0
     return dissipated_power(
-        network, i_ext, eps, delta, rng, route=route, lam_lower=lam_lower
+        network, unit_current(network.n_vertices, s, t), eps, delta, rng, route=route,
+        lam_lower=lam_lower,
     )

@@ -332,6 +332,8 @@ def variable_time_apply(
 
 def _is_hermitian(u: BlockEncoding) -> bool:
     m = u.target if u.target is not None else u.applied()
+    if not np.any(m != m.conj().T):
+        return True  # exactly Hermitian: skip the SVD of the 2-norm
     return bool(np.linalg.norm(m - m.conj().T, 2) <= 1e-9 + 2.0 * u.epsilon)
 
 

@@ -1,9 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blockenc import encoding as be
+from blockenc import hamsim, linalg
 from blockenc.errors import NormError, PreconditionError, SparsityError
 from blockenc.kptree import KPTree, power_trees
 from blockenc.linalg import complement_matrix, embed, is_unitary, spectral_norm
@@ -300,3 +303,109 @@ def test_restrict_and_compact():
     assert comp.ancillas == 1
     assert spectral_norm(comp.block() - enc.block()) < 1e-12
     assert comp.alpha == enc.alpha
+
+
+def _assert_dilates_block(enc):
+    """The on-demand unitary is unitary and carries the stored block in its corner."""
+    u = enc.unitary
+    d = enc.system_dim
+    assert is_unitary(u)
+    assert np.array_equal(u[:d, :d], enc.block())
+    if enc.target is not None:
+        assert enc.verify()
+
+
+def _no_negative_zeros(m):
+    parts = (m.real, m.imag)
+    return not any(np.any((p == 0.0) & np.signbit(p)) for p in parts)
+
+
+def test_every_constructor_stores_a_dilatable_block():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(4, 4))
+    b = rng.normal(size=(4, 4))
+    ea = be.encode(a)  # alpha = ||a||: a block of norm 1
+    eb = be.encode(b, alpha=2.0 * spectral_norm(b))
+    x = rng.normal(size=(5, 3))
+    tp, tq = power_trees(x, 0.5)
+    row, col, ent, s_row, s_col = be.sparse_oracles(np.clip(a / 3.0, -1.0, 1.0))
+    unit = be.encode(a / (2.0 * spectral_norm(a)), alpha=1.0)
+    comp = be.complement(ea)
+    encodings = [
+        ea,
+        be.product(ea, eb),
+        be.amplify(unit, 1e-6),
+        be.preamplified_product(unit, unit, 1e-6),
+        comp,
+        be.lcu([ea, eb], [0.5, -1.5]),
+        be.restrict(comp, 4),
+        be.compact(be.product(ea, eb)),
+        be.from_sparse_access(row, col, ent, (4, 4), s_row, s_col),
+        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))[0],
+        be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0],
+        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), square=True)[0],
+        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x), eps=1e-4,
+                   perturb=5e-5, rng=rng)[0],
+        be.from_kp_weighted(rng.uniform(1.0, 3.0, size=5), mode="frobenius",
+                            tree=KPTree.from_matrix(x))[0],
+    ]
+    for enc in encodings:
+        _assert_dilates_block(enc)
+
+
+def test_product_and_complement_blocks_in_closed_form():
+    rng = np.random.default_rng(13)
+    for d in (3, 8):
+        u = be.encode(rng.normal(size=(d, d)))
+        v = be.amplify(be.encode(rng.normal(size=(d, d)) / (2 * d), alpha=1.0), 1e-6)
+        w = be.product(u, v)
+        assert np.array_equal(w.block(), u.block() @ v.block())
+        for inner in (u, w, be.compact(w)):
+            comp = be.complement(inner)
+            assert np.array_equal(comp.block(), complement_matrix(inner.block()))
+            assert _no_negative_zeros(comp.block())
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name (and every blockenc alias of it) with a call counter."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("blockenc") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_from_kp_completes_no_unitary(monkeypatch):
+    null_space = _count_calls(monkeypatch, scipy.linalg, "null_space")
+    dilation = _count_calls(monkeypatch, linalg, "unitary_dilation")
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(16, 6))
+    tp, tq = power_trees(x, 0.5)
+    be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))
+    assert len(null_space) == 1
+    be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
+    assert len(null_space) == 2
+    be.from_kp_weighted(rng.uniform(1.0, 4.0, size=16), mode="frobenius",
+                        tree=KPTree.from_matrix(x))
+    assert len(null_space) == 3
+    assert not dilation
+
+
+def test_composition_chain_dilates_nothing(monkeypatch):
+    dilation = _count_calls(monkeypatch, linalg, "unitary_dilation")
+    rng = np.random.default_rng(15)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    # singular values in [1/4, 1/2], so the complement of the square has |spectrum| in [1/16, 1/4]
+    u = be.encode(q * rng.uniform(0.5, 1.0, size=6) / 2.0, alpha=1.0)
+    amp = be.amplify(u, 1e-12)
+    chain = be.compact(be.complement(be.product(amp, amp)))
+    out = hamsim.negative_power(chain, 0.5, 32.0, 1e-3)
+    assert out.verify()
+    assert not dilation

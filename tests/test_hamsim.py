@@ -6,7 +6,7 @@ import scipy.linalg
 
 from blockenc import encoding as be
 from blockenc import hamsim as hs
-from blockenc.errors import PreconditionError, SpectrumError
+from blockenc.errors import NormError, PreconditionError, SpectrumError
 from blockenc.linalg import is_unitary, spectral_norm
 
 
@@ -172,3 +172,32 @@ def test_inversion_patch_eigenvector_amplitude():
     # clamped to [-1, 1]
     assert amp(0.1, 0.1, 1.0, 2.0) == 1.0
     assert amp(-0.1, 0.1, 1.0, 2.0) == -1.0
+
+
+def test_every_hamsim_constructor_stores_a_dilatable_block():
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    h = (q * np.array([1.0, 0.6, 0.4, 0.25])) @ q.T
+    enc = be.encode(h, 1.0)
+    identity = hs.TaylorSeries(center=1.0, radius=0.75, coeffs=np.array([1.0, 1.0]),
+                               delta=0.25, envelope=2.0)
+    outs = [
+        hs.block_ham_sim(enc, 0.7, 1e-6),
+        hs.smooth_function(enc, identity, 0.25, exact_f=lambda x: x),
+        hs.negative_power(enc, 0.5, 4.0, 1e-3),
+        hs.negative_power(enc, 0.5, 4.0, 1e-3, path="series"),
+        hs.positive_power(enc, 0.5, 4.0, 1e-3),
+        hs.positive_power(enc, 0.5, 4.0, 1e-3, path="series"),
+    ]
+    for out in outs:
+        u = out.unitary
+        assert is_unitary(u)
+        assert np.array_equal(u[:4, :4], out.block())
+        assert out.verify()
+
+
+def test_positive_power_block_norm_checked():
+    # an input error of 5 admits eigenvalues up to 6, where H / 2 has norm above 1
+    enc = be.encode(np.diag([1.0, 0.5]), 1.0).rescaled(0.2).claiming(np.diag([5.0, 2.5]), 5.0)
+    with pytest.raises(NormError):
+        hs.positive_power(enc, 1.0, 4.0, 1e-3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockenc import cli
-from blockenc.errors import ConfigError
+from blockenc.errors import ConfigError, PreconditionError
 from blockenc.harness import (
     CSV_FIELDS,
     ExperimentConfig,
@@ -160,3 +160,16 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     # inline JSON is not a path: the CLI reports a clean contract/numeric error
     assert rc.returncode in (2, 3)
+
+
+def test_network_task_is_effective_resistance():
+    from blockenc.network import build_network, effective_resistance
+
+    edges = [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 1.5], [1, 3, 1.0]]
+    params = {"edges": edges, "s": 0, "t": 2, "epsilon": 0.1, "delta": 0.1, "route": "sparse"}
+    rep = run_experiment(ExperimentConfig(task="network", params=params, seed=5))
+    est = effective_resistance(build_network(edges), 0, 2, eps=0.1, delta=0.1,
+                               rng=np.random.default_rng(5), route="sparse")
+    assert rep.estimate == est.value
+    with pytest.raises(PreconditionError, match="needs distinct vertices"):
+        run_experiment(ExperimentConfig(task="network", params=dict(params, t=0), seed=5))

@@ -156,10 +156,3 @@ def test_matrix_market_roundtrip(tmp_path):
     header = (tmp_path / "real.mtx").read_text().splitlines()[0]
     assert "coordinate" in header
 
-
-def test_tensor_helpers():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(la.embed_operator(x, (2, 3), (0,)), np.kron(x, np.eye(3)))
-    assert np.allclose(la.embed_operator(x, (3, 2), (1,)), np.kron(np.eye(3), x))
-    swapped = la.permute_factors(np.kron(x, np.eye(3)), (2, 3), (1, 0))
-    assert np.allclose(swapped, np.kron(np.eye(3), x))

@@ -239,3 +239,16 @@ def test_eps_scaling_ratio():
     q1 = sv.qls_solve(enc, b, kappa=8.0, eps=1e-3).ledger.total_queries()
     q2 = sv.qls_solve(enc, b, kappa=8.0, eps=1e-3 / 1024).ledger.total_queries()
     assert q2 / q1 <= 5.0
+
+
+def test_is_hermitian_equality_shortcut():
+    rng = np.random.default_rng(40)
+    h = rng.normal(size=(5, 5))
+    h = h + h.T
+    skew = rng.normal(size=(5, 5))
+    skew = skew - skew.T
+    for offset, expected in ((0.0, True), (1e-11, True), (1e-3, False)):
+        enc = be.encode(h + offset * skew)
+        m = enc.target
+        assert sv._is_hermitian(enc) is expected
+        assert expected == bool(np.linalg.norm(m - m.conj().T, 2) <= 1e-9 + 2.0 * enc.epsilon)
