@@ -201,46 +201,6 @@ def complement(u: BlockEncoding) -> BlockEncoding:
     )
 
 
-def lcu(encodings: list[BlockEncoding], coeffs) -> BlockEncoding:
-    """Linear combination sum_j c_j A_j with alpha' = sum |c_j| alpha_j.
-
-    Coefficient signs are folded into the select unitary; the index register
-    adds ceil(log2(count)) ancillas on top of the widest input.
-    """
-    if not encodings:
-        raise DimensionError("lcu requires at least one encoding")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(encodings),) or not np.all(np.isfinite(coeffs)):
-        raise ValueError("need one finite coefficient per encoding")
-    d = encodings[0].system_dim
-    if any(e.system_dim != d for e in encodings):
-        raise DimensionError("all encodings must share the system dimension")
-    alpha = float(np.sum(np.abs(coeffs) * [e.alpha for e in encodings]))
-    if alpha <= 0:
-        raise ValueError("lcu normalization sum |c_j| alpha_j must be positive")
-    combo = sum(c * e.applied() for c, e in zip(coeffs, encodings)) / alpha
-    nrm = spectral_norm(combo)
-    if nrm > 1.0:
-        combo = combo / nrm  # rounding guard only; the exact combination has norm <= 1
-    ancillas = max(e.ancillas for e in encodings) + math.ceil(math.log2(max(len(encodings), 1)))
-    ancillas = max(ancillas, 1)
-    target = None
-    if all(e.target is not None for e in encodings):
-        target = sum(c * e.target for c, e in zip(coeffs, encodings))
-    ledger = CostLedger()
-    for e in encodings:
-        ledger = ledger + e.ledger
-    return BlockEncoding(
-        corner=combo,
-        alpha=alpha,
-        ancillas=ancillas,
-        epsilon=float(np.sum(np.abs(coeffs) * [e.epsilon for e in encodings])),
-        system_dim=d,
-        ledger=ledger.with_gates(len(encodings)),
-        target=target,
-    )
-
-
 def restrict(u: BlockEncoding, dim: int) -> BlockEncoding:
     """Encoding of the top-left dim x dim corner of the encoded matrix.
 

@@ -35,6 +35,7 @@ from .network import (
 )
 from .regression import RegressionProblem, classical_beta, gls_solve, wls_solve
 from .solvers import naive_solve, qls_solve, sve_config, singular_value_estimation
+from .vtime import corollary_time_bound
 
 TASKS = ("encode", "hamsim", "sve", "qls", "power", "wls", "gls", "network")
 
@@ -274,7 +275,7 @@ _HANDLERS = {
 SWEEP_FAMILIES = ("qls-kappa", "qls-kappa-naive", "qls-epsilon")
 
 CSV_FIELDS = ("instance", "kappa", "epsilon", "queries", "gates", "fidelity",
-              "estimate", "reference", "seed")
+              "estimate", "reference", "seed", "run_time", "time_bound")
 
 
 def _sweep_point(family: str, value: float, eps: float, seed: int) -> dict:
@@ -299,6 +300,9 @@ def _sweep_point(family: str, value: float, eps: float, seed: int) -> dict:
         "estimate": fid,
         "reference": 1.0,
         "seed": seed,
+        # the VTAA's realised cost and the paper's bound on it (none for naive)
+        "run_time": res.run_time if res.vtaa is not None else None,
+        "time_bound": corollary_time_bound(res.vtaa) if res.vtaa is not None else None,
     }
 
 

@@ -6,8 +6,6 @@ here is pure and allocation-only; nothing mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .capacity import check_dim
@@ -68,29 +66,6 @@ def hermitian_function(a: np.ndarray, f) -> np.ndarray:
     return (v * f(w)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class SVDDecomposition:
-    """Full SVD A = U diag(s) Vh with singular values sorted descending."""
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right_h: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        m = self.left.shape[0]
-        n = self.right_h.shape[1]
-        s = np.zeros((m, n))
-        r = len(self.singular_values)
-        s[:r, :r] = np.diag(self.singular_values)
-        return self.left @ s @ self.right_h
-
-
-def svd(a) -> SVDDecomposition:
-    m = as_matrix(a)
-    u, s, vh = np.linalg.svd(m)
-    return SVDDecomposition(left=u, singular_values=s, right_h=vh)
-
-
 def pseudoinverse(a, tol: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values <= tol are treated as zero.
 
@@ -105,19 +80,6 @@ def pseudoinverse(a, tol: float = 0.0) -> np.ndarray:
     keep = s > cut
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     return vh.conj().T @ np.diag(inv) @ u.conj().T
-
-
-def hermitian_exp(h, t: float) -> np.ndarray:
-    """e^{i t (H + H^dagger)/2} via eigendecomposition; always exactly unitary.
-
-    Non-Hermitian inputs are silently symmetrized: block extraction with error
-    epsilon breaks exact Hermiticity, and the Hermitian part is the intended
-    operator.
-    """
-    m = as_matrix(h, "hamiltonian")
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"hamiltonian must be square, got {m.shape}")
-    return hermitian_function(m, lambda w: np.exp(1j * t * w))
 
 
 def unitary_dilation(b) -> np.ndarray:

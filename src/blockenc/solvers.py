@@ -1,5 +1,9 @@
 """Composed solvers: singular value estimation, variable-time linear systems,
-pseudoinverse state preparation, norm estimation, and negative matrix powers.
+pseudoinverse state preparation and norm estimation.
+
+Negative matrix powers share the linear-system pipeline: `pseudoinverse_state`
+and `qls_norm_estimate` take a power c and prepare H^{-c}|psi> (resp. estimate
+its norm); c = 1 is the linear system.
 
 Every solver consumes a block-encoding, simulates the staged algorithm per
 eigenbranch, and reports both the output state and the symbolic cost.  The
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BlockEncoding, apply_to_state, from_kp
+from .encoding import BlockEncoding, apply_to_state
 from .errors import OverlapError, PreconditionError, SpectrumError
 from .hamsim import inversion_patch_amplitude, negative_power
-from .kptree import KPTree
 from .ledger import CostLedger
 from .linalg import hermitianize, normalize
 from .vtime import (
@@ -419,33 +422,6 @@ def qls_norm_estimate(
     return NormEstimate(value=norm_est, state=state, ledger=ledger + ae_ledger, mindful=mr)
 
 
-def negative_power_solve(
-    u: BlockEncoding,
-    psi,
-    c: float,
-    kappa: float,
-    eps: float,
-    rng=None,
-    estimate_norm: bool = False,
-    delta: float = 1.0 / 3.0,
-    t_psi: float = 1.0,
-) -> SolveResult | NormEstimate:
-    """H^{-c}|psi>/||.|| via the variable-time algorithm; optionally its norm.
-
-    q = max(1, c) governs the per-stage budgets and the ledger exponents.
-    """
-    if c <= 0:
-        raise PreconditionError("c must be positive")
-    if estimate_norm:
-        if rng is None:
-            raise PreconditionError("norm estimation requires a seeded generator")
-        return qls_norm_estimate(
-            u, psi, kappa, 1.0, eps, delta, rng, power=c, t_psi=t_psi
-        )
-    cfg = qls_config(kappa, eps, gamma_lower=1.0, power=c)
-    return variable_time_apply(u, psi, cfg, t_psi=t_psi)
-
-
 def naive_solve(
     u: BlockEncoding, b, kappa: float, eps: float, c: float = 1.0
 ) -> SolveResult:
@@ -467,43 +443,3 @@ def naive_solve(
         vtaa=None,
     )
 
-
-def qls_from_data_structure(
-    tree_a: KPTree | None,
-    tree_b: KPTree,
-    mu_mode: str = "frobenius",
-    kappa: float = 2.0,
-    eps: float = 1e-3,
-    p: float | None = None,
-    tree_p: KPTree | None = None,
-    tree_q: KPTree | None = None,
-    rng=None,
-    estimate_norm: bool = False,
-    delta: float = 1.0 / 3.0,
-):
-    """QLS pipeline with both the matrix and b held in quantum data structures.
-
-    Composes from_kp -> qls solve on the symmetrized encoding, preparing b by
-    vector_state; the output is reported on the original coordinates.
-    """
-    enc, mu = from_kp(mode=mu_mode, tree=tree_a, tree_p=tree_p, tree_q=tree_q, p=p)
-    base = tree_a if mu_mode == "frobenius" else tree_p
-    n = base.rows
-    b_vec = tree_b.vector_state()
-    if b_vec.size != n:
-        raise PreconditionError("b dimension does not match the stored matrix")
-    psi = np.zeros(enc.system_dim, dtype=complex)
-    psi[:n] = b_vec  # right-hand side on the row block; the solution lands on the column block
-    if estimate_norm:
-        out = qls_norm_estimate(enc, psi, kappa, 1.0, eps, delta, rng)
-        reduced = normalize(out.state[n : n + base.cols])
-        return NormEstimate(value=out.value, state=reduced, ledger=out.ledger, mindful=out.mindful)
-    res = pseudoinverse_state(enc, psi, kappa, 1.0 - 1e-12, eps)
-    reduced = normalize(res.state[n : n + base.cols])
-    return SolveResult(
-        state=reduced,
-        ledger=res.ledger,
-        profile_p_succ=res.profile_p_succ,
-        run_time=res.run_time,
-        vtaa=res.vtaa,
-    )

@@ -49,48 +49,6 @@ def aa_amplitude(alpha: float, k: int) -> float:
     return math.sin((2 * k + 1) * math.asin(alpha))
 
 
-def aa_lower_bound(alpha: float, k: int) -> float:
-    """sqrt(1 - (2k+1)^2 alpha^2 / 3) (2k+1) alpha, valid for k <= pi/(4 asin a) - 1/2."""
-    if k > math.pi / (4.0 * math.asin(alpha)) - 0.5:
-        raise PreconditionError("k exceeds the no-wrap-around regime of the bound")
-    return math.sqrt(max(0.0, 1.0 - (2 * k + 1) ** 2 * alpha**2 / 3.0)) * (2 * k + 1) * alpha
-
-
-def amplification_ratio_check(alpha: float, k: int) -> tuple[float, float]:
-    """(ratio, bound) with ratio = (2k+1)/(amplified/alpha) <= 1 + 3/2 amplified^2.
-
-    Raises if (2k+1) arcsin(alpha) > pi/2 (overamplification).
-    """
-    theta = math.asin(alpha)
-    if (2 * k + 1) * theta > math.pi / 2.0 + 1e-12:
-        raise PreconditionError("overamplification: (2k+1) arcsin(alpha) > pi/2")
-    amplified = aa_amplitude(alpha, k)
-    ratio = (2 * k + 1) * alpha / amplified
-    return ratio, 1.0 + 1.5 * amplified**2
-
-
-def aa_amplify(state: np.ndarray, projector: np.ndarray, k: int) -> np.ndarray:
-    """k exact amplitude-amplification steps on an explicit state.
-
-    The amplified state stays in span{P psi, (I-P) psi}; components inside the
-    projector scale uniformly, so relative structure is preserved.
-    """
-    psi = np.asarray(state, dtype=complex)
-    good = projector @ psi
-    bad = psi - good
-    a = np.linalg.norm(good)
-    theta = math.asin(min(1.0, a))
-    s = math.sin((2 * k + 1) * theta)
-    c = math.cos((2 * k + 1) * theta)
-    out = np.zeros_like(psi)
-    if a > 0:
-        out += good / a * s
-    nb = np.linalg.norm(bad)
-    if nb > 0:
-        out += bad / nb * c
-    return out
-
-
 # -- gapped phase estimation -------------------------------------------------
 
 
@@ -245,36 +203,6 @@ def _boost_reps(delta: float) -> int:
     return 2 * int(math.ceil(18.0 * math.log(1.0 / min(delta, 0.5)))) + 1
 
 
-@dataclass(frozen=True)
-class AmplitudeEstimate:
-    estimate: float
-    verdict: str  # "below" or "above" the 2^-resolution threshold
-    threshold: float
-    ledger: CostLedger
-
-
-def amplitude_estimate(
-    amplitude: float,
-    resolution: int,
-    delta: float,
-    rng,
-    circuit: CostLedger | None = None,
-) -> AmplitudeEstimate:
-    """Boosted AE threshold verdict: reports amplitude < 2^-j or >= 2^-j.
-
-    Correct with probability at least 1 - delta (sampling simulated from the
-    exact outcome distribution); the ledger charges O(2^j (T+k) log(1/delta)).
-    """
-    m_ae = 1 << (resolution + 3)
-    reps = _boost_reps(delta)
-    med = float(np.median(ae_sample_estimates(amplitude, m_ae, reps, rng)))
-    threshold = 2.0**-resolution
-    base = circuit if circuit is not None else CostLedger.single("A")
-    ledger = base.scaled((1 << resolution) * max(1.0, math.log2(1.0 / delta)))
-    verdict = "below" if med < threshold else "above"
-    return AmplitudeEstimate(estimate=med, verdict=verdict, threshold=threshold, ledger=ledger)
-
-
 def ae_multiplicative(
     amplitude: float, rel: float, delta: float, rng, circuit: CostLedger | None = None
 ) -> tuple[float, CostLedger]:
@@ -411,29 +339,6 @@ def stopping_profile(vsta: VSTA) -> StoppingProfile:
         p_stop_at=tuple(p_stop),
         p_maybe_good=tuple(p_mg),
         p_succ=p_mg[-1],
-        t_norm2=t_norm2,
-    )
-
-
-def sparsify_profile(profile: StoppingProfile) -> StoppingProfile:
-    """Merge stopping times into dyadic buckets t_1 2^j, at most 1 + log(T_max/t_1) stages.
-
-    Each stopping time moves up to the next bucket boundary, so the averaged
-    stopping time ||T||_2 grows by at most a factor of 2.
-    """
-    t1 = profile.times[0]
-    buckets: dict[int, float] = defaultdict(float)
-    for t, p in zip(profile.times, profile.p_stop_at):
-        j = max(0, math.ceil(math.log2(t / t1))) if t > t1 else 0
-        buckets[j] += p
-    times = tuple(t1 * 2.0**j for j in sorted(buckets))
-    p_stop = tuple(buckets[j] for j in sorted(buckets))
-    t_norm2 = math.sqrt(sum(t * t * p for t, p in zip(times, p_stop)))
-    return StoppingProfile(
-        times=times,
-        p_stop_at=p_stop,
-        p_maybe_good=(profile.p_succ,) * len(times),
-        p_succ=profile.p_succ,
         t_norm2=t_norm2,
     )
 

@@ -230,21 +230,6 @@ def test_from_kp_perturbation_respects_eps():
         be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), eps=1e-6, perturb=1e-4)
 
 
-def test_lcu_examples():
-    e1 = be.encode(np.eye(2), 1.0)
-    e2 = be.encode(-np.eye(2), 1.0)
-    zero = be.lcu([e1, e2], [0.5, 0.5])
-    assert spectral_norm(zero.applied()) < 1e-12
-    single = be.lcu([e1], [1.0])
-    assert np.allclose(single.applied(), np.eye(2))
-    d1 = be.encode(np.diag([1.0, 0.0]), 1.0)
-    d2 = be.encode(np.diag([0.0, 1.0]), 1.0)
-    both = be.lcu([d1, d2], [1.0, 1.0])
-    assert abs(both.alpha - 2.0) < 1e-12
-    assert np.allclose(both.applied(), np.eye(2))
-    assert both.ancillas == max(d1.ancillas, d2.ancillas) + 1
-
-
 def test_apply_to_state():
     enc = be.encode(np.eye(2), 1.0)
     out = be.apply_to_state(enc, np.array([0.6, 0.8]), 0.9, 1e-6)
@@ -337,7 +322,6 @@ def test_every_constructor_stores_a_dilatable_block():
         be.amplify(unit, 1e-6),
         be.preamplified_product(unit, unit, 1e-6),
         comp,
-        be.lcu([ea, eb], [0.5, -1.5]),
         be.restrict(comp, 4),
         be.compact(be.product(ea, eb)),
         be.from_sparse_access(row, col, ent, (4, 4), s_row, s_col),

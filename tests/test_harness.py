@@ -92,6 +92,19 @@ def test_sweep_slopes_and_csv(tmp_path):
     assert lines[-1].startswith("# slope=")
 
 
+def test_sweep_run_time_within_corollary_bound(tmp_path):
+    # the realised VTAA cost never exceeds the paper's variable-time bound
+    for family in ("qls-kappa", "qls-epsilon"):
+        rows = scaling_sweep(family).rows
+        assert rows
+        for row in rows:
+            assert 0 < row["run_time"] <= row["time_bound"]
+    naive = scaling_sweep("qls-kappa-naive")
+    assert all(r["run_time"] is None and r["time_bound"] is None for r in naive.rows)
+    write_sweep_csv(naive, tmp_path / "naive.csv")
+    assert (tmp_path / "naive.csv").read_text().splitlines()[1].endswith(",,")
+
+
 def test_sweep_epsilon_family():
     summary = scaling_sweep("qls-epsilon")
     rows = summary.rows

@@ -7,8 +7,8 @@ from blockenc import encoding as be
 from blockenc import solvers as sv
 from blockenc.errors import OverlapError, PreconditionError, SpectrumError
 from blockenc.fixtures import random_hermitian_spectrum, random_state
-from blockenc.kptree import KPTree
 from blockenc.linalg import complement_matrix, normalize
+from blockenc.regression import RegressionProblem, wls_solve
 from blockenc.vtime import FLAG_GOOD
 
 
@@ -165,10 +165,11 @@ def test_norm_estimate_seeded_runs():
 
 
 def test_negative_power_solve_consistency():
+    # power 1 of the pseudoinverse pipeline is the linear-system solve
     h = np.diag([1.0, 0.5])
     enc = be.encode(h, 1.0)
     b = np.array([1, 1]) / math.sqrt(2)
-    r1 = sv.negative_power_solve(enc, b, 1.0, 2.0, 1e-3)
+    r1 = sv.pseudoinverse_state(enc, b, 2.0, 1.0, 1e-3, power=1.0)
     r2 = sv.qls_solve(enc, b, kappa=2.0, eps=1e-3)
     assert abs(np.vdot(r1.state, r2.state)) >= 1 - 2e-3
 
@@ -177,7 +178,7 @@ def test_negative_power_solve_square():
     h = np.diag([1.0, 0.5])
     enc = be.encode(h, 1.0)
     b = np.array([1, 1]) / math.sqrt(2)
-    res = sv.negative_power_solve(enc, b, 2.0, 2.0, 1e-3)
+    res = sv.pseudoinverse_state(enc, b, 2.0, 1.0, 1e-3, power=2.0)
     exact = np.array([1.0, 4.0]) / math.sqrt(17)
     assert abs(np.vdot(res.state, exact)) >= 1 - 1e-3
 
@@ -186,33 +187,29 @@ def test_negative_power_norm_variant():
     h = np.diag([1.0, 0.5])
     enc = be.encode(h, 1.0)
     rng = np.random.default_rng(5)
-    est = sv.negative_power_solve(enc, np.array([0.0, 1.0]), 2.0, 2.0, 0.1,
-                                  rng=rng, estimate_norm=True, delta=0.1)
+    est = sv.qls_norm_estimate(enc, np.array([0.0, 1.0]), 2.0, 1.0, 0.1, 0.1, rng, power=2.0)
     assert 0.9 <= est.value / 4.0 <= 1.1
 
 
+def _wls_kp_a(x, y, p=None):
+    """The data-structure QLS: square X in a KP tree, unit weights, route kp-a."""
+    problem = RegressionProblem(np.asarray(x, float), np.asarray(y, float),
+                                weights=np.ones(len(y)), kappa_a=2.0)
+    return wls_solve(problem, route="kp-a", p=p)
+
+
 def test_qls_from_data_structure_identity():
-    ta = KPTree.from_matrix(np.eye(2))
-    tb = KPTree.from_matrix(np.array([0.6, 0.8]))
-    res = sv.qls_from_data_structure(ta, tb, "frobenius", kappa=2.0, eps=1e-3)
+    res = _wls_kp_a(np.eye(2), [0.6, 0.8])
     assert abs(np.vdot(res.state, [0.6, 0.8])) >= 1 - 1e-6
 
 
 def test_qls_from_data_structure_diag():
-    ta = KPTree.from_matrix(np.diag([1.0, 0.5]))
-    tb = KPTree.from_matrix(np.array([1.0, 1.0]))
-    res = sv.qls_from_data_structure(ta, tb, "frobenius", kappa=2.0, eps=1e-3)
+    res = _wls_kp_a(np.diag([1.0, 0.5]), [1.0, 1.0])
     assert abs(np.vdot(res.state, np.array([1, 2]) / math.sqrt(5))) >= 1 - 1e-3
 
 
 def test_qls_from_data_structure_p_mode():
-    from blockenc.kptree import power_trees
-
-    a = np.diag([1.0, 0.5])
-    tp, tq = power_trees(a, 0.5)
-    tb = KPTree.from_matrix(np.array([1.0, 1.0]))
-    res = sv.qls_from_data_structure(None, tb, "p-norm", kappa=2.0, eps=1e-3,
-                                     p=0.5, tree_p=tp, tree_q=tq)
+    res = _wls_kp_a(np.diag([1.0, 0.5]), [1.0, 1.0], p=0.5)
     assert abs(np.vdot(res.state, np.array([1, 2]) / math.sqrt(5))) >= 1 - 1e-3
 
 

@@ -39,6 +39,29 @@ def two_stage_toy(
     return vt.VSTA(times=(t1, t2), segments=(seg1, seg2), initial={0: 1.0}, name="two-stage-toy")
 
 
+def aa_amplify(state: np.ndarray, projector: np.ndarray, k: int) -> np.ndarray:
+    """k exact amplitude-amplification steps on an explicit state.
+
+    The explicit-state reference that `vt.aa_amplitude` is checked against.
+    The amplified state stays in span{P psi, (I-P) psi}; components inside the
+    projector scale uniformly, so relative structure is preserved.
+    """
+    psi = np.asarray(state, dtype=complex)
+    good = projector @ psi
+    bad = psi - good
+    a = np.linalg.norm(good)
+    theta = math.asin(min(1.0, a))
+    s = math.sin((2 * k + 1) * theta)
+    c = math.cos((2 * k + 1) * theta)
+    out = np.zeros_like(psi)
+    if a > 0:
+        out += good / a * s
+    nb = np.linalg.norm(bad)
+    if nb > 0:
+        out += bad / nb * c
+    return out
+
+
 def test_aa_amplitude_examples():
     assert abs(vt.aa_amplitude(0.5, 1) - 1.0) < 1e-12
     assert abs(vt.aa_amplitude(0.1, 2) - math.sin(5 * math.asin(0.1))) < 1e-15
@@ -47,9 +70,10 @@ def test_aa_amplitude_examples():
 
 def test_aa_lower_bound_example():
     amp = vt.aa_amplitude(0.1, 2)
-    assert amp >= vt.aa_lower_bound(0.1, 2)
+    # sqrt(1 - (2k+1)^2 a^2 / 3) (2k+1) a, for k <= pi / (4 asin a) - 1/2
+    assert 2 <= math.pi / (4 * math.asin(0.1)) - 0.5
+    assert amp >= math.sqrt(1 - 25 * 0.01 / 3) * 5 * 0.1
     assert amp == pytest.approx(math.sin(5 * math.asin(0.1)), abs=1e-12)
-    assert amp >= math.sqrt(1 - 25 * 0.01 / 3) * 0.5
 
 
 def test_aa_amplify_state_form():
@@ -60,7 +84,7 @@ def test_aa_amplify_state_form():
     proj[0, 0] = proj[1, 1] = 1.0
     alpha = np.linalg.norm(proj @ psi)
     for k in range(3):
-        out = vt.aa_amplify(psi, proj, k)
+        out = aa_amplify(psi, proj, k)
         assert abs(np.linalg.norm(proj @ out) - abs(vt.aa_amplitude(min(alpha, 1.0), k))) < 1e-12
         # relative structure within the projector is preserved
         ratio = (proj @ out)[0] / (proj @ psi)[0]
@@ -76,42 +100,47 @@ def test_aa_exact_algebra_grid():
             continue
         psi = np.array([alpha, math.sqrt(1 - alpha**2)])
         proj = np.diag([1.0, 0.0])
-        out = vt.aa_amplify(psi, proj, k)
+        out = aa_amplify(psi, proj, k)
         assert abs(out[0] - vt.aa_amplitude(alpha, k)) < 1e-12
 
 
 def test_ratio_check_small_angle_limit():
-    ratio, bound = vt.amplification_ratio_check(1e-6, 3)
+    amp = vt.aa_amplitude(1e-6, 3)
+    ratio = 7 * 1e-6 / amp
     assert ratio == pytest.approx(1.0, abs=1e-9)
-    assert ratio <= bound
+    assert ratio <= 1 + 1.5 * amp**2
 
 
 def test_ratio_check_example():
-    ratio, bound = vt.amplification_ratio_check(0.3, 1)
+    amp = vt.aa_amplitude(0.3, 1)
+    ratio = 3 * 0.3 / amp
     assert ratio == pytest.approx(3 * 0.3 / math.sin(3 * math.asin(0.3)), abs=1e-12)
     assert ratio <= 1 + 1.5 * math.sin(3 * math.asin(0.3)) ** 2
-    assert ratio <= bound
 
 
 def test_ratio_check_boundary():
     # (2k+1) arcsin(alpha) = pi/2 exactly: ratio bounded by 1 + 3/2
     alpha = math.sin(math.pi / 6)
-    ratio, bound = vt.amplification_ratio_check(alpha, 1)
-    assert bound == pytest.approx(2.5)
-    assert ratio <= 2.5
+    amp = vt.aa_amplitude(alpha, 1)
+    assert 1 + 1.5 * amp**2 == pytest.approx(2.5)
+    assert 3 * alpha / amp <= 2.5
 
 
 def test_ratio_check_grid():
     for alpha in np.linspace(0.02, 0.9, 25):
         kmax = int((math.pi / (2 * math.asin(alpha)) - 1) / 2)
         for k in range(kmax + 1):
-            ratio, bound = vt.amplification_ratio_check(float(alpha), k)
-            assert ratio <= bound + 1e-12
+            amp = vt.aa_amplitude(float(alpha), k)
+            assert (2 * k + 1) * alpha / amp <= 1 + 1.5 * amp**2 + 1e-12
 
 
 def test_ratio_check_overamplification_rejected():
-    with pytest.raises(PreconditionError):
-        vt.amplification_ratio_check(0.9, 3)
+    # the ratio lemma needs (2k+1) arcsin(alpha) <= pi/2; the schedule never
+    # picks a k past it, even when the target is out of reach
+    assert vt._choose_k(0.9, 1.0) == 0
+    for p1, pg in [(0.3, 0.04), (0.6, 0.01), (0.1, 0.25), (0.95, 0.01)]:
+        for rec in vt.build_vtaa(two_stage_toy(p1, pg)).schedule.stages:
+            assert (2 * rec.k + 1) * math.asin(rec.amplitude_before) <= math.pi / 2 + 1e-12
 
 
 def test_gpe_contract_examples():
@@ -146,10 +175,12 @@ def test_gpe_transform_on_unitary():
 
 
 def test_amplitude_estimate_zero():
+    # a zero amplitude estimates as zero, and the multiplicative form rejects it
     rng = np.random.default_rng(2)
-    for j in (1, 3, 5):
-        res = vt.amplitude_estimate(0.0, j, 0.05, rng)
-        assert res.verdict == "below"
+    for m_ae in (16, 64, 256):
+        assert np.all(vt.ae_sample_estimates(0.0, m_ae, 25, rng) == 0.0)
+    with pytest.raises(PreconditionError):
+        vt.ae_multiplicative(0.0, 0.1, 0.1, rng)
 
 
 def test_amplitude_estimate_constant_precision():
@@ -164,10 +195,11 @@ def test_amplitude_estimate_constant_precision():
 
 
 def test_amplitude_estimate_ledger_doubles_per_bit():
+    # one more bit of relative precision doubles the AE grid and its ledger
     rng = np.random.default_rng(4)
-    r3 = vt.amplitude_estimate(0.3, 3, 0.1, rng)
-    r4 = vt.amplitude_estimate(0.3, 4, 0.1, rng)
-    assert r4.ledger.total_queries() == pytest.approx(2 * r3.ledger.total_queries())
+    _, l1 = vt.ae_multiplicative(0.3, 0.1, 0.1, rng)
+    _, l2 = vt.ae_multiplicative(0.3, 0.05, 0.1, rng)
+    assert l2.total_queries() == pytest.approx(2 * l1.total_queries())
 
 
 def _choice_probabilities(theta: float, m_ae: int) -> np.ndarray:
@@ -334,32 +366,27 @@ def test_vtaa_ledger_bound_suite():
 
 
 def test_overhead_product_exp3c_bound():
-    # Lemma 12 chain: prod o_j <= exp(sum 3/2 amp_j^2) <= exp(3 C)
-    for p1, pg in [(0.3, 0.04), (0.5, 0.02), (0.7, 0.1)]:
+    # Lemma 12 chain: prod o_j <= exp(sum 3/2 amp_j^2) <= exp(3 C), from the
+    # per-stage ratio lemma o_j <= 1 + 3/2 amp_j^2
+    rng = np.random.default_rng(9)
+    cases = [(0.3, 0.04), (0.5, 0.02), (0.7, 0.1)]
+    for _ in range(12):
+        p1 = float(rng.uniform(0.05, 0.9))
+        cases.append((p1, float(rng.uniform(0.005, (1 - p1) * 0.9))))
+    for p1, pg in cases:
         res = vt.build_vtaa(two_stage_toy(p1, pg))
         m = 2
         c_const = 0.0
         exponent = 0.0
         for rec in res.schedule.stages:
             amp_sq = rec.amplitude_after**2
+            assert rec.o <= 1 + 1.5 * amp_sq
             exponent += 1.5 * amp_sq
             profile = max(1.0 / m, 1.0 / ((m - rec.stage + 1) *
                           (1 + math.log(m - rec.stage + 1)) ** 2))
             c_const = max(c_const, 1.5 * amp_sq / profile)
         assert res.schedule.o_bound <= math.exp(exponent) + 1e-9
         assert res.schedule.o_bound <= math.exp(3.0 * c_const) + 1e-9
-
-
-def test_sparsify_profile():
-    times = tuple(float(t) for t in (1.0, 1.5, 2.5, 3.0, 7.0, 30.0))
-    p_stop = (0.1, 0.2, 0.25, 0.15, 0.2, 0.1)
-    prof = vt.StoppingProfile(times=times, p_stop_at=p_stop,
-                              p_maybe_good=(1.0,) * 6, p_succ=0.3,
-                              t_norm2=math.sqrt(sum(t * t * p for t, p in zip(times, p_stop))))
-    sparse = vt.sparsify_profile(prof)
-    assert len(sparse.times) <= 1 + math.ceil(math.log2(30.0 / 1.0)) + 1
-    assert sparse.t_norm2 <= 2.0 * prof.t_norm2
-    assert sum(sparse.p_stop_at) == pytest.approx(1.0)
 
 
 def test_mindful_single_stage():
