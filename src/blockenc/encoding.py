@@ -8,7 +8,10 @@ constrains and all any construction reads, so it is what an encoding stores:
 each constructor writes its block in closed form (a product of blocks, the
 symmetrized block, the Gram matrix of two state families, ...).  The
 d * 2^a register of U is simulated, not allocated; `unitary` builds a
-1-ancilla unitary with the same block on request.
+1-ancilla unitary with the same block on request.  The KP-tree state
+families are never materialised either: each Gram entry is one product of
+amplitudes, read from two q x q tables, and the unused family slots are
+empty, so the padding of a KP block is exact zeros.
 
 Encodings may carry a claimed target matrix; verification mode measures the
 block-extraction error against it.  All values are immutable after
@@ -332,10 +335,15 @@ def from_kp(
 
     Built as U_R^dagger U_L from the row/column state families psi_j, phi_k
     whose pairwise inner products reproduce the symmetrized matrix over mu.
-    The block of U_R^dagger U_L is their Gram matrix <psi_j|phi_k>, so no
-    unitary is completed.  With square=True the encoding targets A itself (the
-    construction is the same with single-index state families); A must then
-    be stored padded square.
+    The block of U_R^dagger U_L is their Gram matrix <psi_j|phi_k>.  psi_j
+    lives on system index j and phi_k on ancilla index k, so the two meet on
+    the one basis vector |anc=k, sys=j> and each Gram entry is one product of
+    amplitudes: the families are never materialised as q^2-length states,
+    only as q x q amplitude tables (see `_kp_states_complement`).
+    Unused family slots are empty, so the padding rows and columns of the
+    block are exact zeros, as in the padded target.  With square=True the
+    encoding targets A itself (the construction is the same with
+    single-index state families); A must then be stored padded square.
 
     `perturb` rotates the row family by exp(i perturb G / mu) for a random
     real symmetric G of unit norm, standing in for the state-preparation
@@ -360,22 +368,21 @@ def from_kp(
         small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
         target_small = complement_matrix(small)
 
-    check_dim(q_dim * q_dim, "kp encoding")
-    _pad_state_families(psi, phi, q_dim)
-    rows = np.column_stack(psi)
+    gram = _gram(psi, phi)
     if perturb > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
         gen = rng.normal(size=(q_dim, q_dim))
         gen = gen + gen.T
         gen = gen / spectral_norm(gen)
-        rows = rows @ scipy.linalg.expm(1j * (perturb / mu.value) * gen)
+        # (Psi E)^dagger Phi = E^dagger Psi^dagger Phi
+        gram = scipy.linalg.expm(1j * (perturb / mu.value) * gen).conj().T @ gram
     ledger = CostLedger(
         {"kp_row_prep": 1.0, "kp_norm_prep": 1.0},
         gates=math.log2(max(m_rows * n_cols, 2) / max(eps, 1e-15)) ** 2,
     )
     encoding = BlockEncoding(
-        corner=rows.conj().T @ np.column_stack(phi),
+        corner=gram,
         alpha=mu.value,
         ancillas=int(round(math.log2(q_dim))),
         epsilon=float(eps),
@@ -404,7 +411,9 @@ def from_kp_weighted(
 
     The row states pick up an extra sqrt(w_j / w_max) scaling (absorbed into
     the tail weight), so the normalization becomes sqrt(w_max) mu(X).
-    Weights must satisfy w_j >= 1.
+    Weights must satisfy w_j >= 1.  The block is the Gram matrix of the
+    state families, written from their amplitude tables as in `from_kp`;
+    its padding rows and columns are exact zeros.
     """
     w = np.asarray(weights, dtype=float)
     if np.any(w < 1.0 - 1e-12):
@@ -418,17 +427,15 @@ def from_kp_weighted(
     psi, phi, q_dim = _kp_states_complement(
         mode, tree, tree_p, tree_q, base.rows, base.cols, row_scale=row_scale
     )
-    check_dim(q_dim * q_dim, "kp encoding")
     small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
     target_small = complement_matrix(np.sqrt(w)[:, None] * small)
-    _pad_state_families(psi, phi, q_dim)
     alpha = math.sqrt(w_max) * mu.value
     ledger = CostLedger(
         {"kp_row_prep": 1.0, "kp_norm_prep": 1.0, "weight_oracle": 1.0},
         gates=math.log2(max(base.rows * base.cols, 2) / max(eps, 1e-15)) ** 2,
     )
     encoding = BlockEncoding(
-        corner=np.column_stack(psi).conj().T @ np.column_stack(phi),
+        corner=_gram(psi, phi),
         alpha=alpha,
         ancillas=int(round(math.log2(q_dim))),
         epsilon=float(eps),
@@ -439,127 +446,92 @@ def from_kp_weighted(
     return encoding, alpha
 
 
+def _gram(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """<psi_j|phi_k> from the amplitude tables of the `_kp_states_*` builders."""
+    # + 0.0 turns the -0.0 imaginary parts that conj() leaves into +0.0
+    return psi.conj() * phi + 0.0
+
+
+def _kp_register(used: int) -> int:
+    """Side q of the q^2-dim register of state families over `used` indices and a tail slot."""
+    q_dim = 1 << math.ceil(math.log2(used + 1))
+    check_dim(q_dim * q_dim, "kp encoding")
+    return q_dim
+
+
 def _kp_states_complement(mode, tree, tree_p, tree_q, m_rows, n_cols, row_scale=None):
-    size = m_rows + n_cols
-    q_dim = 1 << math.ceil(math.log2(size + 1))
-    slot = size  # overflow coordinate for tail weight
-    dim = q_dim * q_dim
+    """Amplitude tables (P, F) of the complement state families, and q.
+
+    The families live on the q^2-dim register |anc, sys>: psi_j on system
+    index j, phi_k on ancilla index k.  P[j, k] is psi_j's amplitude on
+    |anc=k, sys=j> and F[j, k] is phi_k's, the only basis vector the two
+    share, so <psi_j|phi_k> = conj(P[j, k]) F[j, k].  Row j of P holds all
+    of psi_j and column k of F all of phi_k, so the tables are the families
+    without their q^2-length zero padding.  Here phi_k is psi_k with the two
+    registers swapped, so F = P^T.  Column `slot` holds each state's
+    tail weight; rows and columns past it are unused and stay zero.
+    """
+    slot = m_rows + n_cols  # overflow coordinate for tail weight
+    q_dim = _kp_register(slot)
+    cols = slice(m_rows, slot)
     scale = np.ones(m_rows) if row_scale is None else np.asarray(row_scale, dtype=float)
-
-    def basis(sys: int, anc: int) -> int:
-        return anc * q_dim + sys
-
-    psi = [np.zeros(dim, dtype=complex) for _ in range(q_dim)]
-    phi = [np.zeros(dim, dtype=complex) for _ in range(q_dim)]
+    psi = np.zeros((q_dim, q_dim), dtype=complex)
 
     if mode == "frobenius":
-        row_norm = np.sqrt([tree.row_norm_sq(i) for i in range(m_rows)])
         for j in range(m_rows):
-            if row_norm[j] == 0.0:
-                psi[j][basis(j, slot)] = 1.0
-                phi[j][basis(slot, j)] = 1.0
+            if tree.row_norm_sq(j) == 0.0:
+                psi[j, slot] = 1.0
                 continue
-            amps = scale[j] * tree.row_amplitudes(j)
-            tail = math.sqrt(max(0.0, 1.0 - scale[j] ** 2))
-            for k in range(n_cols):
-                psi[j][basis(j, m_rows + k)] = amps[k]
-                phi[j][basis(m_rows + k, j)] = amps[k]
-            psi[j][basis(j, slot)] = tail
-            phi[j][basis(slot, j)] = tail
-        norm_amps = tree.row_norm_amplitudes()
-        for k in range(n_cols):
-            for j in range(m_rows):
-                psi[m_rows + k][basis(m_rows + k, j)] = norm_amps[j]
-                phi[m_rows + k][basis(j, m_rows + k)] = norm_amps[j]
+            psi[j, cols] = scale[j] * tree.row_amplitudes(j)
+            psi[j, slot] = math.sqrt(max(0.0, 1.0 - scale[j] ** 2))
+        psi[cols, :m_rows] = tree.row_norm_amplitudes()
     else:
         s2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
         s2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
         for j in range(m_rows):
             leaves = tree_p.row_trees[j].leaves(n_cols)
             signs = tree_p.signs[j][:n_cols]
-            amps = scale[j] * signs * np.sqrt(leaves / s2p)
-            tail = math.sqrt(max(0.0, 1.0 - scale[j] ** 2 * leaves.sum() / s2p))
-            for k in range(n_cols):
-                psi[j][basis(j, m_rows + k)] = amps[k]
-                phi[j][basis(m_rows + k, j)] = amps[k]
-            psi[j][basis(j, slot)] = tail
-            phi[j][basis(slot, j)] = tail
+            psi[j, cols] = scale[j] * signs * np.sqrt(leaves / s2p)
+            psi[j, slot] = math.sqrt(max(0.0, 1.0 - scale[j] ** 2 * leaves.sum() / s2p))
         for k in range(n_cols):
             leaves = tree_q.row_trees[k].leaves(m_rows)
-            amps = np.sqrt(leaves / s2q)
-            tail = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
-            for j in range(m_rows):
-                psi[m_rows + k][basis(m_rows + k, j)] = amps[j]
-                phi[m_rows + k][basis(j, m_rows + k)] = amps[j]
-            psi[m_rows + k][basis(m_rows + k, slot)] = tail
-            phi[m_rows + k][basis(slot, m_rows + k)] = tail
-    return psi, phi, q_dim
+            psi[m_rows + k, :m_rows] = np.sqrt(leaves / s2q)
+            psi[m_rows + k, slot] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
+    return psi, psi.T, q_dim
 
 
 def _kp_states_square(mode, tree, tree_p, tree_q, m_rows, n_cols):
-    q_dim = 1 << math.ceil(math.log2(max(m_rows, n_cols) + 1))
+    """Amplitude tables (P, F) of the single-index state families, and q.
+
+    Same layout as `_kp_states_complement`: P[j, k] and F[j, k] are the
+    amplitudes of psi_j and phi_k on |anc=k, sys=j>.  psi_j carries row j
+    of A (tail at ancilla `slot`), phi_k the column norms (tail at system
+    `slot`).
+    """
     slot = max(m_rows, n_cols)
-    dim = q_dim * q_dim
-
-    def basis(sys: int, anc: int) -> int:
-        return anc * q_dim + sys
-
-    psi = [np.zeros(dim, dtype=complex) for _ in range(q_dim)]
-    phi = [np.zeros(dim, dtype=complex) for _ in range(q_dim)]
+    q_dim = _kp_register(slot)
+    psi = np.zeros((q_dim, q_dim), dtype=complex)
+    phi = np.zeros((q_dim, q_dim), dtype=complex)
 
     if mode == "frobenius":
-        row_norm = np.sqrt([tree.row_norm_sq(i) for i in range(m_rows)])
         for j in range(m_rows):
-            if row_norm[j] == 0.0:
-                psi[j][basis(j, slot)] = 1.0
+            if tree.row_norm_sq(j) == 0.0:
+                psi[j, slot] = 1.0
                 continue
-            amps = tree.row_amplitudes(j)
-            for k in range(n_cols):
-                psi[j][basis(j, k)] = amps[k]
-        norm_amps = tree.row_norm_amplitudes()
-        for k in range(n_cols):
-            for j in range(m_rows):
-                phi[k][basis(j, k)] = norm_amps[j]
+            psi[j, :n_cols] = tree.row_amplitudes(j)
+        phi[:m_rows, :n_cols] = tree.row_norm_amplitudes()[:, None]
     else:
         s2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
         s2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
         for j in range(m_rows):
             leaves = tree_p.row_trees[j].leaves(n_cols)
-            amps = tree_p.signs[j][:n_cols] * np.sqrt(leaves / s2p)
-            tail = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2p))
-            for k in range(n_cols):
-                psi[j][basis(j, k)] = amps[k]
-            psi[j][basis(j, slot)] = tail
+            psi[j, :n_cols] = tree_p.signs[j][:n_cols] * np.sqrt(leaves / s2p)
+            psi[j, slot] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2p))
         for k in range(n_cols):
             leaves = tree_q.row_trees[k].leaves(m_rows)
-            amps = np.sqrt(leaves / s2q)
-            tail = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
-            for j in range(m_rows):
-                phi[k][basis(j, k)] = amps[j]
-            phi[k][basis(slot, k)] = tail
+            phi[:m_rows, k] = np.sqrt(leaves / s2q)
+            phi[slot, k] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
     return psi, phi, q_dim
-
-
-def _pad_state_families(psi, phi, q_dim):
-    """Fill unused family slots with vectors orthogonal to both real families.
-
-    Keeps the encoded block close to the padded target: the padding rows and
-    columns of the Gram matrix come out zero up to rounding.
-    """
-    real = [v for v in psi if np.any(v)] + [v for v in phi if np.any(v)]
-    missing_psi = [i for i, v in enumerate(psi) if not np.any(v)]
-    missing_phi = [i for i, v in enumerate(phi) if not np.any(v)]
-    need = len(missing_psi) + len(missing_phi)
-    if need == 0:
-        return
-    stack = np.column_stack(real)
-    comp = scipy.linalg.null_space(stack.conj().T)
-    if comp.shape[1] < need:
-        raise RuntimeError("insufficient orthogonal complement for padding states")
-    for k, i in enumerate(missing_psi):
-        psi[i] = comp[:, k]
-    for k, i in enumerate(missing_phi):
-        phi[i] = comp[:, len(missing_psi) + k]
 
 
 @dataclass(frozen=True)

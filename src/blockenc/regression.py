@@ -237,7 +237,6 @@ def _solver_budget(kappa: float, eps: float) -> float:
 def _omega_inv_sqrt_encoding(
     problem: RegressionProblem, route: str, delta_inner: float, p: float | None
 ) -> BlockEncoding:
-    kappa_o = problem.kappa_omega
     if route == "omega-inverse-sqrt-encoding":
         return encode(problem.omega_inv_sqrt)
     if route == "omega-encoding":
@@ -254,7 +253,9 @@ def _omega_inv_sqrt_encoding(
         base = from_sparse_access(row_o, col_o, entry_o, problem.omega.shape, s_row, s_col)
     else:
         raise PreconditionError(f"unknown GLS route {route!r}")
-    return compact(negative_power(base, 0.5, kappa_o, delta_inner))
+    # kappa_omega only bounds the condition number from above, so a value
+    # below the negative power's floor of 2 is still a valid bound at 2
+    return compact(negative_power(base, 0.5, max(2.0, problem.kappa_omega), delta_inner))
 
 
 def gls_solve(

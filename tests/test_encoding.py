@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import scipy.linalg
 
 from blockenc import encoding as be
 from blockenc import hamsim, linalg
-from blockenc.errors import NormError, PreconditionError, SparsityError
+from blockenc.capacity import max_dim
+from blockenc.errors import CapacityError, NormError, PreconditionError, SparsityError
 from blockenc.kptree import KPTree, power_trees
 from blockenc.linalg import complement_matrix, embed, is_unitary, spectral_norm
 
@@ -373,13 +375,83 @@ def test_from_kp_completes_no_unitary(monkeypatch):
     x = rng.normal(size=(16, 6))
     tp, tq = power_trees(x, 0.5)
     be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))
-    assert len(null_space) == 1
+    assert len(null_space) == 0
     be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
-    assert len(null_space) == 2
+    assert len(null_space) == 0
     be.from_kp_weighted(rng.uniform(1.0, 4.0, size=16), mode="frobenius",
                         tree=KPTree.from_matrix(x))
-    assert len(null_space) == 3
+    assert len(null_space) == 0
     assert not dilation
+
+
+def _kp_encodings(rng, m_rows, n_cols):
+    """(encoding, used dimension) for every KP constructor on a random m x n input."""
+    x = rng.normal(size=(m_rows, n_cols))
+    x[0] = 0.0  # a zero row takes the tail-only state
+    tp, tq = power_trees(x, 0.5)
+    w = rng.uniform(1.0, 4.0, size=m_rows)
+    used = m_rows + n_cols
+    out = [
+        (be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))[0], used),
+        (be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0], used),
+        (be.from_kp_weighted(w, mode="frobenius", tree=KPTree.from_matrix(x))[0], used),
+        (be.from_kp_weighted(w, mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0], used),
+    ]
+    if m_rows == n_cols:
+        out += [
+            (be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x), square=True)[0], m_rows),
+            (be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5, square=True)[0], m_rows),
+        ]
+    return out
+
+
+def test_from_kp_padding_is_exactly_zero():
+    rng = np.random.default_rng(16)
+    for m_rows, n_cols in ((16, 6), (5, 3), (7, 7), (12, 12), (24, 20)):
+        for enc, used in _kp_encodings(rng, m_rows, n_cols):
+            block = enc.block()
+            assert enc.system_dim > used
+            assert not np.any(block[used:, :])
+            assert not np.any(block[:, used:])
+            assert _no_negative_zeros(block)
+            assert enc.measured_error() <= 1e-12
+
+
+def test_kp_state_families_are_unit_states():
+    # the rows of P and the columns of F are whole states, so U_R and U_L are isometries
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(5, 5))
+    x[0] = 0.0
+    tp, tq = power_trees(x, 0.5)
+    scale = np.sqrt(rng.uniform(0.25, 1.0, size=5))
+    tables = [
+        (be._kp_states_complement("frobenius", KPTree.from_matrix(x), None, None, 5, 5, scale), 10),
+        (be._kp_states_complement("p-norm", None, tp, tq, 5, 5, scale), 10),
+        (be._kp_states_square("frobenius", KPTree.from_matrix(x), None, None, 5, 5), 5),
+        (be._kp_states_square("p-norm", None, tp, tq, 5, 5), 5),
+    ]
+    for (psi, phi, _), used in tables:
+        assert np.allclose(np.linalg.norm(psi[:used], axis=1), 1.0, atol=1e-14)
+        assert np.allclose(np.linalg.norm(phi[:, :used], axis=0), 1.0, atol=1e-14)
+
+
+def test_from_kp_at_the_capacity_cap(monkeypatch):
+    monkeypatch.delenv("BLOCKENC_MAX_QUBITS", raising=False)
+    # 32 x 32: the complement register is 128^2 = 2^14, exactly the default cap
+    rng = np.random.default_rng(17)
+    tree = KPTree.from_matrix(rng.normal(size=(32, 32)))
+    tracemalloc.start()
+    try:
+        enc, _ = be.from_kp(mode="frobenius", tree=tree)
+        assert enc.verify()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enc.system_dim * 2**enc.ancillas == max_dim()
+    assert peak < 16 * 2**20
+    # 64 x 64 is the first square size past the cap (256^2 = 2^16)
+    with pytest.raises(CapacityError):
+        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(rng.normal(size=(64, 64))))
 
 
 def test_composition_chain_dilates_nothing(monkeypatch):

@@ -189,3 +189,20 @@ def test_problem_json_roundtrip(tmp_path):
     assert np.allclose(loaded.weights, prob.weights)
     res = rg.wls_solve(loaded, eps=1e-3)
     assert abs(np.vdot(res.state, rg.classical_beta(prob))) >= 1 - 1e-3
+
+
+def test_gls_every_route_accepts_every_fixture():
+    # kappa_omega is an upper bound on cond(Omega); fixtures below 2 (seeds 0, 2
+    # and 33 here) must still solve on the routes that take a negative power
+    routes = ("omega-inverse-sqrt-encoding", "omega-encoding", "kp", "sparse")
+    eps = 1e-3
+    below_two = []
+    for seed in range(40):
+        prob = random_gls_problem(np.random.default_rng(seed), 6, 3)
+        if prob.kappa_omega < 2.0:
+            below_two.append(seed)
+        ref = rg.classical_beta(prob)
+        for route in routes:
+            res = rg.gls_solve(prob, route=route, eps=eps)
+            assert abs(np.vdot(res.state, ref)) >= 1 - eps, (seed, route)
+    assert 33 in below_two
