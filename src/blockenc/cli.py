@@ -108,7 +108,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "sweep":
             summary = scaling_sweep(
-                args.family, eps=args.epsilon or 1e-3, seed=args.seed or 0
+                args.family,
+                eps=1e-3 if args.epsilon is None else args.epsilon,
+                seed=args.seed or 0,
             )
             if args.out:
                 write_sweep_csv(summary, args.out)

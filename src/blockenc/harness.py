@@ -51,6 +51,11 @@ _REQUIRED = {
 }
 
 
+def _check_epsilon(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ConfigError(f"epsilon must lie in (0, 1), got {eps}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a task name, its inputs, scalars, and a seed."""
@@ -65,6 +70,8 @@ class ExperimentConfig:
         missing = [k for k in _REQUIRED[self.task] if k not in self.params]
         if missing:
             raise ConfigError(f"task {self.task!r} missing required params: {missing}")
+        if "epsilon" in self.params:
+            _check_epsilon(float(self.params["epsilon"]))
 
     def digest(self) -> str:
         blob = json.dumps(
@@ -327,6 +334,7 @@ def scaling_sweep(family: str, grid=None, eps: float = 1e-3, seed: int = 0) -> S
     """
     if family not in SWEEP_FAMILIES:
         raise ConfigError(f"unknown sweep family {family!r}")
+    _check_epsilon(eps)
     if grid is None:
         grid = (
             [4.0, 8.0, 16.0, 32.0, 64.0]

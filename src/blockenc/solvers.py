@@ -24,9 +24,6 @@ from .hamsim import inversion_patch_amplitude, negative_power
 from .ledger import CostLedger
 from .linalg import hermitianize, normalize
 from .vtime import (
-    FLAG_BAD,
-    FLAG_GOOD,
-    FLAG_NEUTRAL,
     VSTA,
     MindfulResult,
     VTAAResult,
@@ -203,12 +200,6 @@ class SolveResult:
     norm_estimate: float | None = None
 
 
-def _spectral_data(u: BlockEncoding):
-    h = hermitianize(u.applied())
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
 def _check_spectrum(w, coeffs, kappa, gamma_lower, slack):
     kernel = np.abs(w) <= _ZERO_EIG
     bad_range = (~kernel) & (
@@ -226,7 +217,6 @@ def _check_spectrum(w, coeffs, kappa, gamma_lower, slack):
             f"overlap with the column space is {math.sqrt(max(col_weight, 0.0)):.4g}, "
             f"below the stated sqrt(gamma) = {math.sqrt(gamma_lower):.4g}"
         )
-    return kernel
 
 
 def _stage_phi(stage: int) -> float:
@@ -253,43 +243,43 @@ def _stage_times(u: BlockEncoding, cfg: QLSConfig, t_psi: float) -> tuple[float,
     return tuple(times)
 
 
-def _build_power_vsta(
-    u: BlockEncoding, coeffs: np.ndarray, w: np.ndarray, cfg: QLSConfig, t_psi: float
-) -> VSTA:
-    alpha_max = cfg.alpha_max
-    c = cfg.power
-    eps_p = cfg.eps_prime
+def _build_power_vsta(u: BlockEncoding, psi, cfg: QLSConfig, t_psi: float):
+    """The staged algorithm on the eigenbranches of psi: (eigenvectors, VSTA, p_succ bound).
 
-    def segment(stage: int, label: int):
-        lam = float(w[label])
-        phi = _stage_phi(stage)
-        a0, a1 = gpe_split(lam, phi, eps_p)
-        g = inversion_patch_amplitude(lam, phi, c, alpha_max)
-        out = []
-        if a1 > 0:
-            out.append((True, FLAG_GOOD, a1 * g))
-            out.append((True, FLAG_BAD, a1 * math.sqrt(max(0.0, 1.0 - g * g))))
-        if a0 > 0:
-            out.append((False, FLAG_NEUTRAL, a0))
-        return out
-
-    initial = {int(k): complex(coeffs[k]) for k in range(len(coeffs)) if abs(coeffs[k]) > 1e-14}
-    return VSTA(
-        times=_stage_times(u, cfg, t_psi),
-        segments=tuple([segment] * cfg.stages),
-        initial=initial,
-        name=f"power-solve(c={c})",
+    Labels are the live eigenbranches, |<v_k|psi>| > 1e-14.  Stage j runs GPE
+    at precision phi_j, then on the stopped part the inversion patch.  Only
+    branches still running (a0 > 0 at every earlier stage) are evaluated; the
+    later entries of a stopped branch stay zero, as nothing of it runs.
+    """
+    w, v = np.linalg.eigh(hermitianize(u.applied()))
+    coeffs = v.conj().T @ normalize(np.asarray(psi, dtype=complex))
+    _check_spectrum(w, coeffs, cfg.kappa, cfg.gamma_lower, slack=u.epsilon + 1e-9)
+    live = np.abs(coeffs) > 1e-14
+    w = w[live]
+    shape = (cfg.stages, len(w))
+    good, bad, cont = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    running = np.ones(len(w), dtype=bool)
+    for j in range(cfg.stages):
+        phi = _stage_phi(j + 1)
+        for label in np.flatnonzero(running):
+            lam = float(w[label])
+            a0, a1 = gpe_split(lam, phi, cfg.eps_prime)
+            g = inversion_patch_amplitude(lam, phi, cfg.power, cfg.alpha_max)
+            good[j, label] = a1 * g
+            bad[j, label] = a1 * math.sqrt(max(0.0, 1.0 - g * g))
+            cont[j, label] = a0
+        running &= cont[j] > 0
+    vsta = VSTA(
+        times=_stage_times(u, cfg, t_psi), initial=coeffs[live], good=good, bad=bad, cont=cont
     )
+    return v[:, live], vsta, 0.5 * cfg.gamma_lower / cfg.alpha_max**2
 
 
-def _assemble_output(vtaa: VTAAResult, v: np.ndarray) -> np.ndarray:
+def _assemble_output(vtaa: VTAAResult, v_live: np.ndarray) -> np.ndarray:
     good = vtaa.good_label_amplitudes()
-    if not good:
+    if not np.any(good):
         raise OverlapError("no good-flagged amplitude survived the run")
-    vec = np.zeros(v.shape[0], dtype=complex)
-    for label, amp in good.items():
-        vec += amp * v[:, label]
-    return normalize(vec)
+    return normalize(v_live @ good)
 
 
 def variable_time_apply(
@@ -313,14 +303,9 @@ def variable_time_apply(
         raise PreconditionError(
             f"input encoding error {u.epsilon} exceeds the solver budget {budget:.3g}"
         )
-    w, v = _spectral_data(u)
-    psi = normalize(np.asarray(psi, dtype=complex))
-    coeffs = v.conj().T @ psi
-    kernel = _check_spectrum(w, coeffs, cfg.kappa, cfg.gamma_lower, slack=u.epsilon + 1e-9)
-    vsta = _build_power_vsta(u, coeffs, w, cfg, t_psi)
-    p_lower = 0.5 * cfg.gamma_lower / cfg.alpha_max**2
-    vtaa = build_vtaa(vsta, p_succ_lower=p_lower, delta=0.01)
-    state = _assemble_output(vtaa, v)
+    v_live, vsta, p_lower = _build_power_vsta(u, psi, cfg, t_psi)
+    vtaa = build_vtaa(vsta, p_succ_lower=p_lower)
+    state = _assemble_output(vtaa, v_live)
     ledger = u.ledger.scaled(vtaa.run_time / max(u.alpha * (u.ancillas + 1), 1e-300))
     if psi_cost is not None:
         ledger = ledger + psi_cost.scaled(max(1.0, vtaa.stage_uses[0]))
@@ -406,19 +391,14 @@ def qls_norm_estimate(
     unamplified success amplitude times alpha_max.
     """
     cfg = qls_config(kappa, eps, gamma_lower=gamma_lower, power=power)
-    w, v = _spectral_data(u)
-    psi = normalize(np.asarray(psi, dtype=complex))
-    coeffs = v.conj().T @ psi
-    _check_spectrum(w, coeffs, cfg.kappa, cfg.gamma_lower, slack=u.epsilon + 1e-9)
-    vsta = _build_power_vsta(u, coeffs, w, cfg, t_psi)
-    p_lower = 0.5 * cfg.gamma_lower / cfg.alpha_max**2
+    v_live, vsta, p_lower = _build_power_vsta(u, psi, cfg, t_psi)
     mr = mindful_amplify(vsta, eps / 3.0, delta / 2.0, rng, p_succ_lower=p_lower)
     final_amp = mr.vtaa.schedule.stages[-1].amplitude_after
     est_final, ae_ledger = ae_multiplicative(final_amp, eps / 3.0, delta / 2.0, rng)
     norm_est = cfg.alpha_max * est_final / mr.gamma
     run_units = mr.vtaa.run_time + mr.estimation_time
     ledger = u.ledger.scaled(run_units / max(u.alpha * (u.ancillas + 1), 1e-300))
-    state = _assemble_output(mr.vtaa, v)
+    state = _assemble_output(mr.vtaa, v_live)
     return NormEstimate(value=norm_est, state=state, ledger=ledger + ae_ledger, mindful=mr)
 
 

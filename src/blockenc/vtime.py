@@ -1,12 +1,14 @@
 """Variable-stopping-time algorithms, amplification, and estimation.
 
-The simulator tracks amplitudes per clock-value branch instead of
-materializing phase-estimation registers: a branch is (clock, flag, label)
-with a complex amplitude, where clock 0 means still running and clock j means
-stopped at stage j.  Gapped phase estimation enters as a per-eigenbranch
-two-outcome split with amplitudes from the exact boosted outcome
-distribution, so every probability the analysis uses is preserved while the
-register count stays inside the qubit budget.
+The simulator tracks amplitudes per label (an eigenbranch, in the solvers)
+instead of materializing phase-estimation and clock registers.  Each stage is
+diagonal in the labels: a running branch stops good, stops bad or keeps
+running, with relative amplitudes held as stages x labels arrays.  The state
+is a vector of running amplitudes plus stages x labels arrays of the stopped
+good and bad ones, row j-1 for clock value j.  Gapped phase estimation enters
+as a per-eigenbranch two-outcome split with amplitudes from the exact boosted
+outcome distribution, so every probability the analysis uses is preserved
+while the register count stays inside the qubit budget.
 
 Amplitude estimation samples its outcome from the exact canonical
 distribution over M grid points (a sum of two Fejer kernels).  Each (angle, M)
@@ -21,8 +23,9 @@ are reproducible bit-for-bit given a seed.
 from __future__ import annotations
 
 import math
+import sys
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
@@ -32,10 +35,6 @@ from scipy.stats import binom
 
 from .errors import PreconditionError
 from .ledger import CostLedger
-
-FLAG_NEUTRAL = "n"
-FLAG_GOOD = "g"
-FLAG_BAD = "b"
 
 # -- exact amplitude-amplification algebra ----------------------------------
 
@@ -218,33 +217,37 @@ def ae_multiplicative(
 
 # -- variable-stopping-time algorithms ---------------------------------------
 
-SegmentFn = Callable[[int, Any], list[tuple[bool, str, complex]]]
-
 
 @dataclass(frozen=True)
 class VSTA:
-    """Ordered segments with stopping times and an initial label distribution.
+    """A staged algorithm that acts on each label separately.
 
-    segments[j-1](j, label) maps a still-running branch to a list of
-    (stopped, flag, relative amplitude) outcomes; stopped branches receive
-    clock value j and are never touched again.  Whatever is still running
-    after the last segment is terminated as stopped-bad at t_m, so the total
-    stopping probability is 1.
+    Row j-1 of `good`, `bad` and `cont` (stages x labels) holds the relative
+    amplitudes with which a branch still running at stage j stops good, stops
+    bad or keeps running.  Stopped branches keep clock value j and are never
+    touched again.  Whatever still runs after the last stage stops bad at t_m,
+    so the total stopping probability is 1.
     """
 
     times: tuple[float, ...]
-    segments: tuple[SegmentFn, ...]
-    initial: dict[Any, complex]
-    name: str = "vsta"
+    initial: np.ndarray  # one amplitude per label
+    good: np.ndarray
+    bad: np.ndarray
+    cont: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.segments) or not self.times:
-            raise PreconditionError("need one stopping time per segment")
-        if self.times[0] <= 0 or any(
+        if not self.times or self.times[0] <= 0 or any(
             b <= a for a, b in zip(self.times, self.times[1:])
         ):
-            raise PreconditionError("stopping times must be strictly increasing, t_1 > 0")
-        total = sum(abs(a) ** 2 for a in self.initial.values())
+            raise PreconditionError("need strictly increasing stopping times, t_1 > 0")
+        object.__setattr__(self, "initial", np.asarray(self.initial, dtype=complex))
+        shape = (len(self.times), self.initial.size)
+        for name in ("good", "bad", "cont"):
+            rows = np.asarray(getattr(self, name))
+            if rows.shape != shape:
+                raise PreconditionError(f"{name} has shape {rows.shape}, expected {shape}")
+            object.__setattr__(self, name, rows)
+        total = float(np.vdot(self.initial, self.initial).real)
         if abs(total - 1.0) > 1e-9:
             raise PreconditionError(f"initial amplitudes must be normalized, got {total}")
 
@@ -253,45 +256,30 @@ class VSTA:
         return len(self.times)
 
 
-BranchState = dict[tuple[int, str, Any], complex]
+def _run(vsta: VSTA):
+    """Run the stages in order, yielding (j, running, good, bad) after stage j.
+
+    `good` and `bad` (stages x labels) hold the stopped amplitudes, row j-1
+    for clock value j.  The three arrays are updated in place, so a caller may
+    rescale them before the run resumes.
+    """
+    running = vsta.initial.copy()
+    good = np.zeros(vsta.good.shape, dtype=complex)
+    bad = np.zeros_like(good)
+    for j in range(vsta.stages):
+        good[j] = running * vsta.good[j]
+        bad[j] = running * vsta.bad[j]
+        running *= vsta.cont[j]
+        if j == vsta.stages - 1:
+            # the remainder stops bad as a branch of its own, so its probability
+            # adds to the stopped-bad one (no phase of a bad branch is read)
+            bad[j] = np.sqrt(np.abs(bad[j]) ** 2 + np.abs(running) ** 2)
+            running[:] = 0.0
+        yield j + 1, running, good, bad
 
 
-def _initial_state(vsta: VSTA) -> BranchState:
-    return {(0, FLAG_NEUTRAL, label): amp for label, amp in vsta.initial.items()}
-
-
-def _apply_segment(state: BranchState, stage: int, seg: SegmentFn) -> BranchState:
-    out: BranchState = defaultdict(complex)
-    for (clock, flag, label), amp in state.items():
-        if clock != 0:
-            out[(clock, flag, label)] += amp
-            continue
-        for stopped, new_flag, rel in seg(stage, label):
-            if stopped:
-                out[(stage, new_flag, label)] += amp * rel
-            else:
-                out[(0, FLAG_NEUTRAL, label)] += amp * rel
-    return dict(out)
-
-
-def _terminate(state: BranchState, stage: int) -> BranchState:
-    out: BranchState = defaultdict(complex)
-    for (clock, flag, label), amp in state.items():
-        if clock == 0:
-            out[(stage, FLAG_BAD, label)] += amp
-        else:
-            out[(clock, flag, label)] += amp
-    return dict(out)
-
-
-def _mg_norm(state: BranchState) -> float:
-    return math.sqrt(sum(abs(a) ** 2 for (c, f, l), a in state.items() if f != FLAG_BAD))
-
-
-def _scale_classes(state: BranchState, s: float, c: float) -> BranchState:
-    return {
-        key: amp * (c if key[1] == FLAG_BAD else s) for key, amp in state.items()
-    }
+def _sq(x: np.ndarray) -> float:
+    return float(np.vdot(x, x).real)
 
 
 @dataclass(frozen=True)
@@ -314,29 +302,22 @@ class StoppingProfile:
         }
 
 
-def run_unamplified(vsta: VSTA) -> BranchState:
-    state = _initial_state(vsta)
-    for j, seg in enumerate(vsta.segments, start=1):
-        state = _apply_segment(state, j, seg)
-    return _terminate(state, vsta.stages)
+def run_unamplified(vsta: VSTA) -> tuple[np.ndarray, np.ndarray]:
+    """Stopped good and bad amplitudes (stages x labels) without amplification."""
+    for _, _, good, bad in _run(vsta):
+        pass
+    return good, bad
 
 
 def stopping_profile(vsta: VSTA) -> StoppingProfile:
-    state = _initial_state(vsta)
     p_mg = []
-    for j, seg in enumerate(vsta.segments, start=1):
-        state = _apply_segment(state, j, seg)
-        if j == vsta.stages:
-            state = _terminate(state, j)
-        p_mg.append(_mg_norm(state) ** 2)
-    p_stop = [0.0] * vsta.stages
-    for (clock, flag, label), amp in state.items():
-        if clock > 0:
-            p_stop[clock - 1] += abs(amp) ** 2
+    for _, running, good, bad in _run(vsta):
+        p_mg.append(_sq(running) + _sq(good))
+    p_stop = np.sum(np.abs(good) ** 2 + np.abs(bad) ** 2, axis=1)
     t_norm2 = math.sqrt(sum(t * t * p for t, p in zip(vsta.times, p_stop)))
     return StoppingProfile(
         times=vsta.times,
-        p_stop_at=tuple(p_stop),
+        p_stop_at=tuple(map(float, p_stop)),
         p_maybe_good=tuple(p_mg),
         p_succ=p_mg[-1],
         t_norm2=t_norm2,
@@ -380,16 +361,17 @@ def stage_target(j: int, m: int) -> float:
 def _choose_k(amplitude: float, target: float) -> int:
     """Largest k not overamplifying with sin((2k+1)theta) <= target, nudged up
     if the landing point falls below half the target."""
-    if amplitude >= target or amplitude <= 0.0:
-        return 0
+    if amplitude >= target or not amplitude >= sys.float_info.min:
+        return 0  # below the smallest normal float, pi / (2 theta) overflows
     theta = math.asin(min(1.0, amplitude))
     k_max = max(0, math.floor((math.pi / (2.0 * theta) - 1.0) / 2.0))
-    k = 0
-    for cand in range(k_max + 1):
-        if aa_amplitude(amplitude, cand) <= target:
-            k = cand
-        else:
-            break
+    # sin((2k+1) theta) increases with k up to k_max: the closed form is at
+    # most one step off the float comparison
+    k = min(k_max, max(0, math.floor((math.asin(target) / theta - 1.0) / 2.0)))
+    if k > 0 and aa_amplitude(amplitude, k) > target:
+        k -= 1
+    elif k < k_max and aa_amplitude(amplitude, k + 1) <= target:
+        k += 1
     if aa_amplitude(amplitude, k) < target / 2.0 and k < k_max:
         k += 1
     return k
@@ -397,44 +379,31 @@ def _choose_k(amplitude: float, target: float) -> int:
 
 @dataclass(frozen=True)
 class VTAAResult:
-    """Amplified algorithm output: final branch state plus cost accounting."""
+    """Amplified algorithm output: stopped amplitudes plus cost accounting."""
 
     vsta: VSTA
     profile: StoppingProfile
     schedule: AmplificationSchedule
-    final_state: BranchState
+    good: np.ndarray  # stopped amplitudes, stages x labels
+    bad: np.ndarray
     stage_uses: tuple[float, ...]
     run_time: float  # total time-unit cost of the amplified algorithm
-    build_time: float
 
-    def good_label_amplitudes(self, state: BranchState | None = None) -> dict[Any, complex]:
-        """Per-label norm of the good-flagged component, phase from the largest branch."""
-        state = self.final_state if state is None else state
-        acc: dict[Any, float] = defaultdict(float)
-        lead: dict[Any, complex] = {}
-        for (clock, flag, label), amp in state.items():
-            if flag != FLAG_GOOD:
-                continue
-            acc[label] += abs(amp) ** 2
-            if label not in lead or abs(amp) > abs(lead[label]):
-                lead[label] = amp
-        return {
-            label: (lead[label] / abs(lead[label])) * math.sqrt(val)
-            for label, val in acc.items()
-            if val > 0
-        }
+    def good_label_amplitudes(self) -> np.ndarray:
+        """Per-label norm of the good component over the stages, phase from its largest branch."""
+        mag = np.abs(self.good)
+        lead = self.good[mag.argmax(axis=0), np.arange(mag.shape[1])]
+        phase = np.divide(lead, np.abs(lead), out=np.zeros_like(lead), where=lead != 0)
+        return phase * np.sqrt(np.sum(mag**2, axis=0))
 
 
-def build_vtaa(
-    vsta: VSTA, p_succ_lower: float = 0.0, delta: float = 1e-2
-) -> VTAAResult:
+def build_vtaa(vsta: VSTA, p_succ_lower: float = 0.0) -> VTAAResult:
     """Variable-time amplitude amplification with the staged-target schedule.
 
-    Stage j is amplified to the profile target; good components scale
-    uniformly, so the good-flagged part of the output is exactly proportional
-    to the unamplified one.  The schedule is deterministic given the measured
-    amplitudes; `delta` only enters the construction-cost ledger, charging the
-    amplitude estimations the constructive theorem performs.
+    Stage j is amplified to the profile target.  Amplification scales the
+    running and good amplitudes by one factor and the bad ones by another, so
+    the good part of the output is exactly proportional to the unamplified
+    one.  The schedule is deterministic given the measured amplitudes.
     """
     profile = stopping_profile(vsta)
     if profile.p_succ < p_succ_lower * (1.0 - 1e-9):
@@ -442,13 +411,9 @@ def build_vtaa(
             f"success probability {profile.p_succ} below stated bound {p_succ_lower}"
         )
     m = vsta.stages
-    state = _initial_state(vsta)
     records = []
-    for j, seg in enumerate(vsta.segments, start=1):
-        state = _apply_segment(state, j, seg)
-        if j == m:
-            state = _terminate(state, j)
-        before = _mg_norm(state)
+    for j, running, good, bad in _run(vsta):
+        before = math.sqrt(_sq(running) + _sq(good))
         target = stage_target(j, m)
         k = _choose_k(before, target)
         if k > 0:
@@ -456,8 +421,10 @@ def build_vtaa(
             s = math.sin((2 * k + 1) * theta) / max(math.sin(theta), 1e-300)
             cos_theta = math.cos(theta)
             c = math.cos((2 * k + 1) * theta) / cos_theta if cos_theta > 1e-15 else 0.0
-            state = _scale_classes(state, s, c)
-        after = _mg_norm(state)
+            running *= s
+            good *= s
+            bad *= c
+        after = math.sqrt(_sq(running) + _sq(good))
         gain = after / before if before > 0 else 1.0
         records.append(
             StageRecord(
@@ -486,20 +453,16 @@ def build_vtaa(
     amp_after = [1.0] + [r.amplitude_after for r in records]
     e_bound = max(amp_after[-1] / max(amp_after[j - 1], 1e-300) for j in range(1, m + 1))
     o_bound = float(np.prod([r.o for r in records]))
-    t_prime = 2.0 * vsta.times[-1] / vsta.times[0]
-    build_time = run_time * max(1.0, math.log2(t_prime)) * max(
-        1.0, math.log2(max(2.0, math.log2(max(t_prime, 2.0)) / delta))
-    )
     return VTAAResult(
         vsta=vsta,
         profile=profile,
         schedule=AmplificationSchedule(
             stages=tuple(records), e_bound=e_bound, g_bound=1.0, o_bound=o_bound
         ),
-        final_state=state,
+        good=good,
+        bad=bad,
         stage_uses=tuple(uses),
         run_time=run_time,
-        build_time=build_time,
     )
 
 
@@ -539,7 +502,7 @@ def mindful_amplify(
     ||Pi A' 0>|| / (Gamma ||Pi A 0>||) lies in [1-eps, 1+eps] with probability
     at least 1 - delta.
     """
-    result = build_vtaa(vsta, p_succ_lower=p_succ_lower, delta=delta)
+    result = build_vtaa(vsta, p_succ_lower=p_succ_lower)
     m = vsta.stages
     rel = eps / (5.0 * m)
     d_each = delta / (2.0 * m)

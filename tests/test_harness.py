@@ -146,6 +146,21 @@ def test_cli_network_and_exit_codes(tmp_path):
     assert cli.main(["network", "--edges", str(bad), "-s", "0", "-t", "1"]) == 2
 
 
+def test_cli_epsilon_out_of_range(tmp_path, capsys):
+    write_matrix(tmp_path / "h.mtx", np.diag([1.0, 0.5]))
+    write_vector(tmp_path / "b.mtx", np.array([1.0, 1.0]))
+    qls = ["qls", "--matrix", str(tmp_path / "h.mtx"), "--b", str(tmp_path / "b.mtx"),
+           "--kappa", "2.0"]
+    for eps in ("0", "-0.1", "2"):
+        assert cli.main(qls + ["--epsilon", eps]) == 2
+        assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+    # an explicit 0 is range-checked, not replaced by the sweep default
+    assert cli.main(["sweep", "--family", "qls-kappa", "--epsilon", "0"]) == 2
+    assert "epsilon must lie in (0, 1)" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        scaling_sweep("qls-kappa", eps=1.0)
+
+
 def test_cli_sweep(tmp_path):
     rc = cli.main(["sweep", "--family", "qls-kappa", "--out", str(tmp_path / "s.csv")])
     assert rc == 0

@@ -9,7 +9,6 @@ from blockenc.errors import OverlapError, PreconditionError, SpectrumError
 from blockenc.fixtures import random_hermitian_spectrum, random_state
 from blockenc.linalg import complement_matrix, normalize
 from blockenc.regression import RegressionProblem, wls_solve
-from blockenc.vtime import FLAG_GOOD
 
 
 def test_sve_config_validation():
@@ -106,12 +105,33 @@ def test_qls_stage_locality():
     res = sv.qls_solve(be.encode(h, 1.0), normalize(np.array([1.0, 1.0, 1.0])),
                        kappa=kappa, eps=1e-3)
     stages = {}
-    for (clock, flag, label), amp in res.vtaa.final_state.items():
-        if flag == FLAG_GOOD and abs(amp) > 1e-6:
-            stages.setdefault(label, set()).add(clock)
+    for (row, label), amp in np.ndenumerate(res.vtaa.good):
+        if abs(amp) > 1e-6:
+            stages.setdefault(label, set()).add(row + 1)
     for label, clocks in stages.items():
         assert len(clocks) <= 2
         assert max(clocks) - min(clocks) <= 1
+
+
+def test_qls_splits_each_running_branch_once(monkeypatch):
+    # gapped phase estimation is evaluated once per (stage, label) pair still running
+    calls = []
+    split = sv.gpe_split
+
+    def counted(lam, phi, eps):
+        calls.append((lam, phi))
+        return split(lam, phi, eps)
+
+    monkeypatch.setattr(sv, "gpe_split", counted)
+    kappa = 16.0
+    res = sv.qls_solve(be.encode(np.diag([1.0, 0.11, 1.0 / kappa]), 1.0),
+                       normalize(np.array([1.0, 1.0, 1.0])), kappa=kappa, eps=1e-3)
+    cont = res.vtaa.vsta.cont
+    running = np.vstack([np.ones((1, cont.shape[1]), bool),
+                         np.cumprod(cont[:-1] > 0, axis=0).astype(bool)])
+    assert len(calls) == int(running.sum())
+    assert len(set(calls)) == len(calls)
+    assert running.sum() < running.size  # some branch stops before the last stage
 
 
 def test_qls_spectrum_violation():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blockenc import vtime as vt
 from blockenc.errors import PreconditionError
@@ -15,28 +18,22 @@ def two_stage_toy(
     p_good_1: float = 0.0,
 ) -> vt.VSTA:
     """Two-stage toy: stage 1 stops bad (and optionally good) mass, stage 2 splits the rest."""
+    rest = max(0.0, 1.0 - p_stop_bad_1 - p_good_1)
+    frac_good = p_good_2 / rest if rest > 0 else 0.0
+    if frac_good > 1.0:
+        raise PreconditionError("p_good_2 exceeds the surviving mass")
+    return vt.VSTA(
+        times=(t1, t2),
+        initial=[1.0],
+        good=[[math.sqrt(p_good_1)], [math.sqrt(frac_good)]],
+        bad=[[math.sqrt(p_stop_bad_1)], [math.sqrt(1.0 - frac_good)]],
+        cont=[[math.sqrt(rest)], [0.0]],
+    )
 
-    def seg1(stage, label):
-        keep = math.sqrt(max(0.0, 1.0 - p_stop_bad_1 - p_good_1))
-        return [
-            (True, vt.FLAG_BAD, math.sqrt(p_stop_bad_1)),
-            (True, vt.FLAG_GOOD, math.sqrt(p_good_1)),
-            (False, vt.FLAG_NEUTRAL, keep),
-        ]
 
-    def seg2(stage, label):
-        rest = max(0.0, 1.0 - p_stop_bad_1 - p_good_1)
-        if rest <= 0:
-            return [(True, vt.FLAG_BAD, 1.0)]
-        frac_good = p_good_2 / rest
-        if frac_good > 1.0:
-            raise PreconditionError("p_good_2 exceeds the surviving mass")
-        return [
-            (True, vt.FLAG_GOOD, math.sqrt(frac_good)),
-            (True, vt.FLAG_BAD, math.sqrt(max(0.0, 1.0 - frac_good))),
-        ]
-
-    return vt.VSTA(times=(t1, t2), segments=(seg1, seg2), initial={0: 1.0}, name="two-stage-toy")
+def single_stage(t: float) -> vt.VSTA:
+    """One stage that stops every branch good at time t."""
+    return vt.VSTA(times=(t,), initial=[1.0], good=[[1.0]], bad=[[0.0]], cont=[[0.0]])
 
 
 def aa_amplify(state: np.ndarray, projector: np.ndarray, k: int) -> np.ndarray:
@@ -285,9 +282,7 @@ def test_ae_cdf_rejects_non_probabilities():
 
 
 def test_stopping_profile_single_stage():
-    single = vt.VSTA(times=(2.0,), segments=((lambda j, l: [(True, vt.FLAG_GOOD, 1.0)]),),
-                     initial={0: 1.0})
-    prof = vt.stopping_profile(single)
+    prof = vt.stopping_profile(single_stage(2.0))
     assert prof.p_succ == pytest.approx(1.0)
     assert prof.t_norm2 == pytest.approx(2.0)
 
@@ -302,17 +297,18 @@ def test_stopping_profile_two_stage():
 
 
 def test_vsta_validation():
+    rows = np.zeros((2, 1))
     with pytest.raises(PreconditionError):
-        vt.VSTA(times=(2.0, 1.0), segments=(None, None), initial={0: 1.0})
+        vt.VSTA(times=(2.0, 1.0), initial=[1.0], good=rows, bad=rows, cont=rows)
     with pytest.raises(PreconditionError):
-        vt.VSTA(times=(1.0,), segments=((lambda j, l: []),), initial={0: 2.0})
+        vt.VSTA(times=(1.0,), initial=[2.0], good=[[1.0]], bad=[[0.0]], cont=[[0.0]])
+    with pytest.raises(PreconditionError):  # one row per stage, one column per label
+        vt.VSTA(times=(1.0, 2.0), initial=[1.0], good=rows, bad=rows, cont=np.zeros((2, 2)))
 
 
 def test_build_vtaa_theta1_input():
     # success already Theta(1): no amplification steps scheduled
-    single = vt.VSTA(times=(1.0,), segments=((lambda j, l: [(True, vt.FLAG_GOOD, 1.0)]),),
-                     initial={0: 1.0})
-    res = vt.build_vtaa(single)
+    res = vt.build_vtaa(single_stage(1.0))
     assert all(rec.k == 0 for rec in res.schedule.stages)
     assert res.run_time == pytest.approx(1.0)
 
@@ -326,8 +322,10 @@ def test_build_vtaa_success_bound():
 def test_vtaa_proportionality():
     for p1, pg in [(0.3, 0.04), (0.6, 0.01), (0.1, 0.25)]:
         res = vt.build_vtaa(two_stage_toy(p1, pg))
-        amp = res.good_label_amplitudes()
-        un = res.good_label_amplitudes(vt.run_unamplified(res.vsta))
+        good_un, _ = vt.run_unamplified(res.vsta)
+        nonzero = good_un != 0
+        amp = dict(enumerate(res.good[nonzero]))
+        un = dict(enumerate(good_un[nonzero]))
         ratios = [amp[k] / un[k] for k in un]
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
         fid = abs(sum(np.conj(un[k] / np.linalg.norm(list(un.values()))) * amp[k]
@@ -390,10 +388,8 @@ def test_overhead_product_exp3c_bound():
 
 
 def test_mindful_single_stage():
-    single = vt.VSTA(times=(1.0,), segments=((lambda j, l: [(True, vt.FLAG_GOOD, 1.0)]),),
-                     initial={0: 1.0})
     rng = np.random.default_rng(6)
-    res = vt.mindful_amplify(single, 0.1, 0.1, rng)
+    res = vt.mindful_amplify(single_stage(1.0), 0.1, 0.1, rng)
     assert 0.9 <= res.gamma / res.true_ratio <= 1.1
 
 
@@ -416,3 +412,49 @@ def test_mindful_two_stage_contract():
             fails += 1
         assert final >= 0.5  # amplified to Theta(1)
     assert fails / runs <= 0.1
+
+
+@st.composite
+def array_vstas(draw) -> vt.VSTA:
+    """1-6 stages, 1-8 labels, every row |good|^2 + |bad|^2 + |cont|^2 = 1, some full stops."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    unit = st.floats(0.0, 1.0)
+    raw = draw(hnp.arrays(float, (m, n, 3), elements=unit))
+    raw[..., 2][draw(hnp.arrays(bool, (m, n)))] = 0.0  # these branches stop in full
+    raw[np.linalg.norm(raw, axis=-1) < 1e-3] = (0.0, 1.0, 0.0)
+    raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
+    signs = draw(hnp.arrays(float, (m, n, 3), elements=st.sampled_from([-1.0, 1.0])))
+    raw *= signs
+    initial = draw(hnp.arrays(complex, n, elements=st.complex_numbers(max_magnitude=1.0)))
+    if np.linalg.norm(initial) < 1e-3:
+        initial[0] = 1.0
+    times = np.cumsum(draw(hnp.arrays(float, m, elements=st.floats(0.5, 10.0))))
+    return vt.VSTA(
+        times=tuple(map(float, times)),
+        initial=initial / np.linalg.norm(initial),
+        good=raw[..., 0],
+        bad=raw[..., 1],
+        cont=raw[..., 2],
+    )
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(array_vstas())
+@example(vt.VSTA(times=(1.0,), initial=[1.0], good=[[1e-160]], bad=[[1.0]], cont=[[0.0]]))
+def test_array_vsta_invariants(vsta):
+    prof = vt.stopping_profile(vsta)
+    assert sum(prof.p_stop_at) == pytest.approx(1.0, abs=1e-9)
+    assert all(b <= a + 1e-12 for a, b in zip(prof.p_maybe_good, prof.p_maybe_good[1:]))
+    res = vt.build_vtaa(vsta)
+    good_un, bad_un = vt.run_unamplified(vsta)
+    # uniform scaling: the amplified good component is a positive multiple of the unamplified one
+    norm_un = np.linalg.norm(good_un)
+    scale = np.linalg.norm(res.good) / norm_un if norm_un > 0 else 0.0
+    assert np.allclose(res.good, scale * good_un, rtol=0.0, atol=1e-12 * max(1.0, scale))
+    # a branch that stopped in full never gains amplitude at a later stage
+    stopped = np.cumsum(vsta.cont == 0.0, axis=0) > 0
+    after = np.zeros_like(stopped)
+    after[1:] = stopped[:-1]
+    for arr in (res.good, res.bad, good_un, bad_un):
+        assert np.all(arr[after] == 0.0)
