@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from blockenc import vtime as vt
+from blockenc.encoding import encode
 from blockenc.errors import PreconditionError
+from blockenc.fixtures import random_hermitian_spectrum
+from blockenc.solvers import qls_norm_estimate
 
 
 def two_stage_toy(
@@ -200,7 +203,10 @@ def test_amplitude_estimate_ledger_doubles_per_bit():
 
 
 def _choice_probabilities(theta: float, m_ae: int) -> np.ndarray:
-    """The AE outcome distribution as it was fed to rng.choice before the CDF cache."""
+    """The AE outcome distribution as it was fed to rng.choice before the CDF cache.
+
+    Both kernels are evaluated at large arguments, as the sampler once did.
+    """
     y = np.arange(m_ae)
     omega = theta / math.pi
 
@@ -215,19 +221,27 @@ def _choice_probabilities(theta: float, m_ae: int) -> np.ndarray:
     return p / p.sum()
 
 
+def _choice_cdf(theta: float, m_ae: int) -> np.ndarray:
+    cdf = _choice_probabilities(theta, m_ae).cumsum()  # as Generator.choice forms it
+    cdf /= cdf[-1]
+    return cdf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "amplitude, m_ae, reps, seed",
     [
         (0.3, 64, 37, 0),
         (math.sin(math.pi / 4), 8, 21, 1),  # omega * M = 2: the kernel's tiny branch
-        (0.0, 16, 9, 2),  # omega = 0: tiny branch at y = 0
+        (0.0, 16, 9, 2),  # omega = 0: tiny branch at y = 0, numerator 0
         (1.0, 32, 9, 3),  # omega = 1/2: tiny branch at y = M/2
         (0.0123, 1 << 12, 109, 4),
         (0.7, 1 << 16, 55, 5),
+        (0.37, 1 << 20, 2000, 6),
     ],
 )
-def test_ae_samples_match_choice_draw_for_draw(monkeypatch, amplitude, m_ae, reps, seed):
-    monkeypatch.setattr(vt, "_AE_CDFS", vt._TableCache(vt.AE_CACHE_BYTES))
+def test_ae_samples_match_choice_draw_for_draw(amplitude, m_ae, reps, seed):
+    vt._ae_cdf.cache_clear()
     theta = round(math.asin(amplitude), 14)
     p = _choice_probabilities(theta, m_ae)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -236,35 +250,22 @@ def test_ae_samples_match_choice_draw_for_draw(monkeypatch, amplitude, m_ae, rep
         want = np.sin(np.pi * ref.choice(m_ae, size=reps, p=p) / m_ae)
         assert np.array_equal(got, want)
         assert rng.bit_generator.state == ref.bit_generator.state
-    cdf = p.cumsum()  # as Generator.choice forms it
-    cdf /= cdf[-1]
-    assert np.array_equal(vt._ae_cdf(theta, m_ae), cdf)
+    # the reference's large-argument numerators carry ~1e-11 of rounding at M = 2^20
+    atol = 1e-9 if m_ae >= 1 << 20 else 1e-13
+    assert np.max(np.abs(vt._ae_cdf(theta, m_ae) - _choice_cdf(theta, m_ae))) <= atol
 
 
-def test_ae_cache_bounded_by_bytes(monkeypatch):
-    m_ae = 1 << 20  # 8 MiB per table
-    cache = vt._TableCache(vt.AE_CACHE_BYTES)
-    monkeypatch.setattr(vt, "_AE_CDFS", cache)
-    thetas = [round(0.1 + 0.01 * k, 14) for k in range(12)]
-    for theta in thetas:
-        vt._ae_cdf(theta, m_ae)
-        assert cache.nbytes == sum(t.nbytes for t in cache.tables.values())
-        assert cache.nbytes <= vt.AE_CACHE_BYTES
-    kept = vt.AE_CACHE_BYTES // (8 * m_ae)
-    assert list(cache.tables) == [(t, m_ae) for t in thetas[-kept:]]
-
-
-def test_table_cache_keeps_the_newest_entry():
-    cache = vt._TableCache(budget=100)
-    big = cache.get("big", lambda: np.zeros(20))  # 160 bytes, over budget
-    assert list(cache.tables) == ["big"] and cache.nbytes == 160
-    assert cache.get("big", lambda: np.ones(20)) is big
-    cache.get("a", lambda: np.zeros(4))
-    cache.get("b", lambda: np.zeros(4))
-    assert list(cache.tables) == ["a", "b"] and cache.nbytes == 64
-    cache.get("a", lambda: np.zeros(4))  # a hit moves "a" to the newest end
-    cache.get("c", lambda: np.zeros(8))
-    assert list(cache.tables) == ["a", "c"] and cache.nbytes == 96
+def test_ae_cdf_cache_keeps_the_two_newest():
+    vt._ae_cdf.cache_clear()
+    assert vt._ae_cdf.cache_info().maxsize == 2
+    first = vt._ae_cdf(0.1, 64)
+    assert vt._ae_cdf(0.1, 64) is first and not first.flags.writeable
+    second = vt._ae_cdf(0.2, 64)
+    vt._ae_cdf(0.3, 64)  # evicts the oldest key, 0.1
+    assert vt._ae_cdf(0.2, 64) is second
+    assert vt._ae_cdf.cache_info().currsize == 2
+    again = vt._ae_cdf(0.1, 64)
+    assert again is not first and np.array_equal(again, first)
 
 
 def test_ae_cdf_is_read_only():
@@ -277,8 +278,25 @@ def test_ae_cdf_is_read_only():
 
 
 def test_ae_cdf_rejects_non_probabilities():
-    with pytest.raises(ValueError):
-        vt._ae_outcome_cdf(float("nan"), 8)
+    with pytest.raises(ValueError, match="probabilities"):
+        vt._ae_cdf(float("nan"), 8)
+
+
+def test_norm_estimate_unchanged_by_the_reference_table(monkeypatch):
+    # a whole mindful-amplification run draws the same AE outcomes from the
+    # reference formula as from the sampler's table
+    rng = np.random.default_rng(0)
+    h = random_hermitian_spectrum(rng, 8, 4.0)
+    psi = rng.normal(size=8)
+    psi /= np.linalg.norm(psi)
+
+    def estimate():
+        est = qls_norm_estimate(encode(h, 1.0), psi, 4.0, 1.0, 1e-3, 0.1, np.random.default_rng(1))
+        return est.value
+
+    value = estimate()
+    monkeypatch.setattr(vt, "_ae_cdf", _choice_cdf)
+    assert estimate() == value
 
 
 def test_stopping_profile_single_stage():
