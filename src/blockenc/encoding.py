@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .capacity import check_dim
 from .errors import DimensionError, NormError, PreconditionError, SparsityError
@@ -212,13 +213,9 @@ def restrict(u: BlockEncoding, dim: int) -> BlockEncoding:
     """
     if dim > u.system_dim:
         raise DimensionError("restriction cannot enlarge the system")
-    block = u.block()[:dim, :dim]
-    nrm = spectral_norm(block)
-    if nrm > 1.0:
-        block = block / nrm
     target = None if u.target is None else u.target[:dim, :dim]
     return BlockEncoding(
-        corner=block,
+        corner=u.block()[:dim, :dim],
         alpha=u.alpha,
         ancillas=1,
         epsilon=u.epsilon,
@@ -235,76 +232,45 @@ def compact(u: BlockEncoding) -> BlockEncoding:
     register is compressed.  Deep pipelines use this between stages to stay
     inside the qubit budget.
     """
-    block = u.block()
-    nrm = spectral_norm(block)
-    if nrm > 1.0:
-        block = block / nrm
-    return replace(u, corner=block, ancillas=1)
-
-
-def sparse_oracles(a: np.ndarray):
-    """Row, column and entry oracles over a dense matrix, plus its row and column sparsities.
-
-    The oracles follow the `from_sparse_access` conventions.
-    """
-    rows, cols = a.shape
-
-    def entry(i, j):
-        return a[i, j]
-
-    def row_oracle(i, k):
-        nz = np.nonzero(a[i])[0]
-        return int(nz[k]) if k < len(nz) else cols + k
-
-    def col_oracle(j, k):
-        nz = np.nonzero(a[:, j])[0]
-        return int(nz[k]) if k < len(nz) else rows + k
-
-    s_row = int(np.count_nonzero(a, axis=1).max(initial=1))
-    s_col = int(np.count_nonzero(a, axis=0).max(initial=1))
-    return row_oracle, col_oracle, entry, max(s_row, 1), max(s_col, 1)
+    return replace(u, ancillas=1)
 
 
 def from_sparse_access(
-    row_oracle,
-    col_oracle,
-    entry_oracle,
-    shape: tuple[int, int],
-    s_row: int,
-    s_col: int,
+    a,
+    s_row: int | None = None,
+    s_col: int | None = None,
     eps: float = 0.0,
 ) -> BlockEncoding:
-    """(sqrt(s_row * s_col), 1, eps)-encoding from sparse-access oracles.
+    """(sqrt(s_row * s_col), 1, eps)-encoding of a matrix under sparse access.
 
-    row_oracle(i, k) returns the column of the k-th nonzero of row i, or
-    cols + k when the row has fewer nonzeros; col_oracle is the transpose
-    analogue; entry_oracle(i, j) returns the entry.  Entries must lie in
-    [-1, 1] and the declared sparsities must hold.
+    `a` is a dense array or a `scipy.sparse` matrix; it stands for the row,
+    column and entry oracles of the sparse-access model.  Entries must lie in
+    [-1, 1] and every row (column) may hold at most s_row (s_col) nonzeros.
+    A sparsity left as None is the measured one (at least 1).  Stored zeros
+    do not count as nonzeros.
     """
-    rows, cols = shape
-    a = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for k in range(s_row):
-            j = int(row_oracle(i, k))
-            if j >= cols:
-                continue
-            a[i, j] = entry_oracle(i, j)
-    nnz_row = np.count_nonzero(a, axis=1)
-    nnz_col = np.count_nonzero(a, axis=0)
+    m = scipy.sparse.csr_array(a, dtype=complex, copy=True)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    rows, cols = m.shape
+    nnz_row = np.diff(m.indptr)
+    nnz_col = np.diff(m.tocsc().indptr)
+    if s_row is None:
+        s_row = int(nnz_row.max(initial=1))
+    if s_col is None:
+        s_col = int(nnz_col.max(initial=1))
     if np.any(nnz_row > s_row):
         raise SparsityError(f"a row has more than s_row = {s_row} nonzeros")
     if np.any(nnz_col > s_col):
         raise SparsityError(f"a column has more than s_col = {s_col} nonzeros")
-    for j in range(cols):
-        listed = {int(col_oracle(j, k)) for k in range(s_col)}
-        actual = {int(i) for i in np.nonzero(a[:, j])[0]}
-        if not actual <= listed:
-            raise SparsityError(f"column oracle for column {j} misses nonzero rows")
-    if np.max(np.abs(a), initial=0.0) > 1.0 + 1e-12:
+    if np.abs(m.data).max(initial=0.0) > 1.0 + 1e-12:
         raise NormError("sparse-access entries must lie in [-1, 1]")
     alpha = math.sqrt(s_row * s_col)
     d = max(rows, cols)
-    a_pad = embed(a, d)
+    a_pad = np.zeros((d, d), dtype=complex)
+    # assigned, not added as in toarray(), so entries keep a -0.0 imaginary part
+    coo = m.tocoo()
+    a_pad[coo.coords] = coo.data
     ledger = CostLedger(
         {"sparse_row": 1.0, "sparse_col": 1.0, "sparse_entry": 1.0},
         gates=math.log2(max(rows * cols, 2) / max(eps, 1e-15)) ** 2,

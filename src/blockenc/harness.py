@@ -164,14 +164,21 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return report
 
 
+def _mu_p(params) -> float | None:
+    """The p of the mu_p normalisation, or None for the Frobenius mu."""
+    if params.get("mu_mode", "frobenius") == "frobenius":
+        return None
+    return float(params.get("p", 0.5))
+
+
 def _task_encode(p, eps, rng):
     a = _load_matrix(p["matrix"])
-    mode = p.get("mu_mode", "frobenius")
-    if mode == "frobenius":
+    mu_p = _mu_p(p)
+    if mu_p is None:
         enc, mu = from_kp(mode="frobenius", tree=KPTree.from_matrix(a))
     else:
-        tp, tq = power_trees(a, float(p.get("p", 0.5)))
-        enc, mu = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=float(p.get("p", 0.5)))
+        tp, tq = power_trees(a, mu_p)
+        enc, mu = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=mu_p)
     reference = embed(complement_matrix(a), enc.system_dim)
     err = spectral_norm(reference - enc.applied())
     return err, 0.0, None, enc.ledger.to_dict()
@@ -228,14 +235,16 @@ def _task_power(p, eps, rng):
 
 def _task_wls(p, eps, rng):
     problem = _load_problem(p, rng, weighted=True)
-    res = wls_solve(problem, route=p.get("route", "kp-a"), eps=eps)
+    res = wls_solve(problem, route=p.get("route", "kp-a"), eps=eps, p=_mu_p(p))
     fid = float(abs(np.vdot(res.state, classical_beta(problem))))
     return fid, 1.0, fid, res.ledger.to_dict()
 
 
 def _task_gls(p, eps, rng):
     problem = _load_problem(p, rng, weighted=False)
-    res = gls_solve(problem, route=p.get("route", "omega-inverse-sqrt-encoding"), eps=eps)
+    res = gls_solve(
+        problem, route=p.get("route", "omega-inverse-sqrt-encoding"), eps=eps, p=_mu_p(p)
+    )
     fid = float(abs(np.vdot(res.state, classical_beta(problem))))
     return fid, 1.0, fid, res.ledger.to_dict()
 
@@ -259,7 +268,7 @@ def _task_network(p, eps, rng):
     s, t = int(p["s"]), int(p["t"])
     est = effective_resistance(
         net, s, t, eps=float(p.get("epsilon", 0.1)), delta=float(p.get("delta", 1.0 / 3.0)),
-        rng=rng, route=p.get("route", "exact"),
+        rng=rng, route=p.get("route", "exact"), p=_mu_p(p),
     )
     ref = reference_dissipated_power(net, unit_current(net.n_vertices, s, t))
     return est.value, ref, None, est.ledger.to_dict()

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import encode, from_kp, from_sparse_access, sparse_oracles
+from .encoding import encode, from_kp, from_sparse_access
 from .errors import GraphError, PreconditionError
-from .kptree import KPTree
+from .kptree import KPTree, power_trees
 from .ledger import CostLedger
 from .linalg import complement_matrix, pseudoinverse, spectral_norm
 from .solvers import qls_norm_estimate
@@ -158,18 +158,14 @@ def _network_encoding(network: ElectricalNetwork, route: str, p: float | None):
         if p is None:
             enc, _ = from_kp(mode="frobenius", tree=KPTree.from_matrix(c))
         else:
-            from .kptree import power_trees
-
             tp, tq = power_trees(c, p)
             enc, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p)
         return enc
     if route == "sparse":
-        # sparse oracles serve entries of C/sqrt(w_max) so they lie in [-1, 1]
-        scaled = cbar / math.sqrt(network.w_max)
-        row_oracle, col_oracle, entry, _, _ = sparse_oracles(scaled)
+        # sparse access reads C/sqrt(w_max), whose entries lie in [-1, 1]
         s = max(network.max_degree, 2)
-        enc = from_sparse_access(row_oracle, col_oracle, entry, scaled.shape, s, s)
-        return enc.claiming(cbar, 0.0).rescaled(1.0 / math.sqrt(network.w_max))
+        enc = from_sparse_access(cbar / math.sqrt(network.w_max), s, s)
+        return enc.rescaled(1.0 / math.sqrt(network.w_max))
     raise PreconditionError(f"unknown network route {route!r}")
 
 
@@ -226,9 +222,10 @@ def effective_resistance(
     rng,
     route: str = "exact",
     lam_lower: float | None = None,
+    p: float | None = None,
 ) -> PowerEstimate:
     """Effective resistance: dissipated power of the unit s -> t external current."""
     return dissipated_power(
         network, unit_current(network.n_vertices, s, t), eps, delta, rng, route=route,
-        lam_lower=lam_lower,
+        lam_lower=lam_lower, p=p,
     )

@@ -28,7 +28,6 @@ from .encoding import (
     preamplified_product,
     product,
     restrict,
-    sparse_oracles,
 )
 from .errors import DimensionError, NormError, PreconditionError
 from .hamsim import negative_power
@@ -220,8 +219,7 @@ def wls_solve(
         abar = np.zeros((m_rows + n_cols, m_rows + n_cols))
         abar[:m_rows, m_rows:] = a
         abar[m_rows:, :m_rows] = a.T
-        row_o, col_o, entry_o, s_row, s_col = sparse_oracles(abar)
-        enc = from_sparse_access(row_o, col_o, entry_o, abar.shape, s_row, s_col)
+        enc = from_sparse_access(abar)
         b_cost = CostLedger.single("b_prep")
     else:
         raise PreconditionError(f"unknown WLS route {route!r}")
@@ -249,8 +247,7 @@ def _omega_inv_sqrt_encoding(
             base, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p, square=True)
         base = restrict(base, problem.omega.shape[0])
     elif route == "sparse":
-        row_o, col_o, entry_o, s_row, s_col = sparse_oracles(problem.omega)
-        base = from_sparse_access(row_o, col_o, entry_o, problem.omega.shape, s_row, s_col)
+        base = from_sparse_access(problem.omega)
     else:
         raise PreconditionError(f"unknown GLS route {route!r}")
     # kappa_omega only bounds the condition number from above, so a value

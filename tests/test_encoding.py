@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from blockenc import encoding as be
 from blockenc import hamsim, linalg
@@ -130,57 +131,50 @@ def test_complement_rectangular():
 
 def test_from_sparse_access_examples():
     diag = np.diag([0.5, -0.25, 0.75, 0.1])
-
-    def entry(i, j):
-        return diag[i, j]
-
-    def row(i, k):
-        return i if k == 0 else 4 + k
-
-    def col(j, k):
-        return j if k == 0 else 4 + k
-
-    enc = be.from_sparse_access(row, col, entry, (4, 4), 1, 1)
+    enc = be.from_sparse_access(diag)
     assert enc.alpha == 1.0
     assert spectral_norm(enc.applied() - diag) < 1e-10
 
-    tri = np.zeros((4, 4))
-    for i in range(4):
-        tri[i, i] = 0.5
-        if i > 0:
-            tri[i, i - 1] = -0.3
-        if i < 3:
-            tri[i, i + 1] = 0.2
-
-    def entry_t(i, j):
-        return tri[i, j]
-
-    def row_t(i, k):
-        nz = np.nonzero(tri[i])[0]
-        return int(nz[k]) if k < len(nz) else 4 + k
-
-    def col_t(j, k):
-        nz = np.nonzero(tri[:, j])[0]
-        return int(nz[k]) if k < len(nz) else 4 + k
-
-    enc = be.from_sparse_access(row_t, col_t, entry_t, (4, 4), 3, 3)
+    tri = np.diag([0.5] * 4) + np.diag([-0.3] * 3, -1) + np.diag([0.2] * 3, 1)
+    enc = be.from_sparse_access(scipy.sparse.csr_array(tri))
     assert abs(enc.alpha - 3.0) < 1e-12
     assert spectral_norm(enc.block() - tri / 3.0) < 1e-10
+    assert be.from_sparse_access(tri, 4).alpha == math.sqrt(12.0)  # s_col measured: 3
 
-    zero = be.from_sparse_access(lambda i, k: 4 + k, lambda j, k: 4 + k,
-                                 lambda i, j: 0.0, (4, 4), 1, 1)
+    zero = be.from_sparse_access(np.zeros((4, 4)))
+    assert zero.alpha == 1.0
     assert spectral_norm(zero.applied()) == 0.0
 
 
 def test_from_sparse_access_violation():
-    dense = np.full((3, 3), 0.3)
+    with pytest.raises(SparsityError, match="s_row"):
+        be.from_sparse_access(scipy.sparse.csr_array(np.full((3, 3), 0.3)), 1, 1)
+    # one dense column, every row 1-sparse
+    col = np.zeros((3, 3))
+    col[:, 0] = 0.5
+    assert be.from_sparse_access(col, 1, 3).alpha == math.sqrt(3.0)
+    with pytest.raises(SparsityError, match="s_col"):
+        be.from_sparse_access(col, 1, 2)
+    with pytest.raises(NormError):
+        be.from_sparse_access(np.diag([0.5, 1.5]))
 
-    def row(i, k):
-        return k if k < 3 else 3 + k
 
-    enc_args = (row, row, lambda i, j: dense[i, j], (3, 3), 1, 1)
-    with pytest.raises(SparsityError):
-        be.from_sparse_access(*enc_args)
+def test_from_sparse_access_sums_duplicates_and_ignores_stored_zeros():
+    # row 0 stores (0, 0) twice and a zero at (0, 1); row 1 a zero at (1, 0)
+    m = scipy.sparse.csr_array(
+        (np.array([0.25, 0.25, 0.0, 0.0, -0.5]), np.array([0, 0, 1, 0, 1]),
+         np.array([0, 3, 5])),
+        shape=(2, 2),
+    )
+    data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
+    enc = be.from_sparse_access(m, 1, 1)
+    assert enc.alpha == 1.0
+    assert np.array_equal(enc.block(), np.diag([0.5, -0.5]))
+    # the caller's matrix is left as it was
+    assert m.nnz == 5
+    assert np.array_equal(m.data, data)
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.indptr, indptr)
 
 
 def test_from_kp_identity_modes():
@@ -288,7 +282,7 @@ def test_restrict_and_compact():
     assert spectral_norm(small.applied() - enc.applied()[:3, :3]) < 1e-10
     comp = be.compact(enc)
     assert comp.ancillas == 1
-    assert spectral_norm(comp.block() - enc.block()) < 1e-12
+    assert np.array_equal(comp.block(), enc.block())
     assert comp.alpha == enc.alpha
 
 
@@ -315,7 +309,6 @@ def test_every_constructor_stores_a_dilatable_block():
     eb = be.encode(b, alpha=2.0 * spectral_norm(b))
     x = rng.normal(size=(5, 3))
     tp, tq = power_trees(x, 0.5)
-    row, col, ent, s_row, s_col = be.sparse_oracles(np.clip(a / 3.0, -1.0, 1.0))
     unit = be.encode(a / (2.0 * spectral_norm(a)), alpha=1.0)
     comp = be.complement(ea)
     encodings = [
@@ -326,7 +319,7 @@ def test_every_constructor_stores_a_dilatable_block():
         comp,
         be.restrict(comp, 4),
         be.compact(be.product(ea, eb)),
-        be.from_sparse_access(row, col, ent, (4, 4), s_row, s_col),
+        be.from_sparse_access(np.clip(a / 3.0, -1.0, 1.0)),
         be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))[0],
         be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0],
         be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), square=True)[0],

@@ -190,6 +190,28 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert rc.returncode in (2, 3)
 
 
+@pytest.mark.parametrize(
+    "task,params",
+    [
+        ("wls", {"problem": "random", "route": "kp-a"}),
+        ("wls", {"problem": "random", "route": "kp-x-weights"}),
+        ("gls", {"problem": "random", "route": "kp"}),
+        ("network", {"edges": [[0, 1, 1.0], [1, 2, 2.0], [2, 3, 1.0], [0, 3, 1.5]],
+                     "s": 0, "t": 2, "epsilon": 0.1, "route": "kp"}),
+    ],
+)
+def test_mu_mode_p_reaches_the_kp_routes(task, params):
+    frob = run_experiment(ExperimentConfig(task=task, params=params, seed=3))
+    mu_p = run_experiment(
+        ExperimentConfig(task=task, params=dict(params, mu_mode="p-norm", p=0.5), seed=3)
+    )
+    assert mu_p.ledger != frob.ledger
+    if mu_p.fidelity is not None:
+        assert mu_p.fidelity >= 1.0 - 1e-3
+    else:
+        assert mu_p.relative_error <= 0.1
+
+
 def test_network_task_is_effective_resistance():
     from blockenc.network import build_network, effective_resistance
 

@@ -128,6 +128,16 @@ def test_routes_agree():
         assert abs(est.value / ref - 1.0) <= 0.1, route
 
 
+def test_every_route_encoding_verifies():
+    # w_max = 2.94 > 1: the sparse route must claim C, not C sqrt(w_max)
+    net = random_connected_network(np.random.default_rng(1), 8, extra_edges=7)
+    cbar = complement_matrix(net.weighted_incidence())
+    for route in ("exact", "kp", "sparse"):
+        enc = nw._network_encoding(net, route, None)
+        assert enc.verify(), route
+        assert np.allclose(enc.target[: cbar.shape[0], : cbar.shape[1]], cbar), route
+
+
 def test_weighted_dissipated_power():
     net = nw.build_network([(0, 1, 2.0), (1, 2, 4.0)])
     i_ext = np.array([1.0, 0.0, -1.0])
