@@ -29,7 +29,7 @@ import scipy.sparse
 
 from .capacity import check_dim
 from .errors import DimensionError, NormError, PreconditionError, SparsityError
-from .kptree import KPTree, MuParams, mu_of
+from .kptree import KPTree, power_trees
 from .ledger import CostLedger
 from .linalg import (
     as_matrix,
@@ -98,10 +98,6 @@ class BlockEncoding:
     def verify(self) -> bool:
         return self.measured_error() <= self.epsilon + _FP_SLACK * (1.0 + self.alpha)
 
-    def claiming(self, target, epsilon: float) -> "BlockEncoding":
-        """Attach a (new) claimed target and declared error."""
-        return replace(self, target=as_matrix(target), epsilon=float(epsilon))
-
     def rescaled(self, s: float) -> "BlockEncoding":
         """Reinterpret as an (alpha/s, a, epsilon/s)-encoding of target/s."""
         if s <= 0:
@@ -163,13 +159,9 @@ def amplify(u: BlockEncoding, gamma: float) -> BlockEncoding:
         raise PreconditionError(f"amplification requires alpha >= 1, got {u.alpha}")
     if u.target is not None and spectral_norm(u.target) > 1.0 + 1e-9:
         raise NormError("uniform block-amplification requires ||A|| <= 1")
-    block = u.applied() / math.sqrt(2.0)
-    nrm = spectral_norm(block)
-    if nrm > 1.0:
-        block = block / nrm * min(nrm, 1.0)  # rounding guard; encoded matrix norm <= 1 + eps
     rounds = max(1.0, u.alpha * math.log2(1.0 / gamma))
     return BlockEncoding(
-        corner=block,
+        corner=u.applied() / math.sqrt(2.0),
         alpha=math.sqrt(2.0),
         ancillas=u.ancillas + 1,
         epsilon=u.epsilon + gamma,
@@ -287,17 +279,20 @@ def from_sparse_access(
 
 
 def from_kp(
-    mode: str = "frobenius",
-    tree: KPTree | None = None,
-    tree_p: KPTree | None = None,
-    tree_q: KPTree | None = None,
+    a,
     p: float | None = None,
+    weights=None,
     eps: float = 0.0,
     square: bool = False,
     perturb: float = 0.0,
     rng=None,
-) -> tuple[BlockEncoding, MuParams]:
-    """(mu, ceil(log(N+M+1)), eps)-encoding of [[0, A], [A^dag, 0]] from KP trees.
+) -> BlockEncoding:
+    """(mu, ceil(log(N+M+1)), eps)-encoding of [[0, A], [A^dag, 0]] from A stored in KP trees.
+
+    The M x N matrix A is stored in the paper's data structure: one
+    `KPTree` of A with mu = ||A||_F when p is None, otherwise the two
+    `power_trees(A, p)` with mu = mu_p(A).  mu is read off the tree roots and
+    is the encoding's alpha.
 
     Built as U_R^dagger U_L from the row/column state families psi_j, phi_k
     whose pairwise inner products reproduce the symmetrized matrix over mu.
@@ -309,30 +304,50 @@ def from_kp(
     Unused family slots are empty, so the padding rows and columns of the
     block are exact zeros, as in the padded target.  With square=True the
     encoding targets A itself (the construction is the same with
-    single-index state families); A must then be stored padded square.
+    single-index state families); A must then be square.
 
-    `perturb` rotates the row family by exp(i perturb G / mu) for a random
+    `weights` (one per row, each >= 1) encodes the symmetrized sqrt(W) A
+    instead, for trees that store A and the weights separately: row state j
+    picks up an extra sqrt(w_j / w_max), absorbed into its tail, so alpha is
+    sqrt(w_max) mu and each use also queries the weight oracle.  Weights
+    apply to the symmetrized encoding only, not with square=True.
+
+    `perturb` rotates the row family by exp(i perturb G / alpha) for a random
     real symmetric G of unit norm, standing in for the state-preparation
-    discretization error; the encoded matrix mu * block moves by at most
+    discretization error; the encoded matrix alpha * block moves by at most
     perturb, which must stay below eps.
     """
-    mu = mu_of(mode, tree=tree, tree_p=tree_p, tree_q=tree_q, p=p)
-    base = tree if mode == "frobenius" else tree_p
-    m_rows, n_cols = base.rows, base.cols
-    if mode != "frobenius" and (tree_q.rows, tree_q.cols) != (n_cols, m_rows):
-        raise DimensionError("companion tree must store the transposed power matrix")
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2:
+        raise DimensionError(f"from_kp stores a matrix, got shape {m.shape}")
     if perturb > eps + 1e-15:
         raise PreconditionError("injected perturbation exceeds the declared epsilon")
+    rows, cols, mu, stored = _kp_families(m, p)
+    m_rows, n_cols = stored.shape
+    alpha = mu
+    queries = {"kp_row_prep": 1.0, "kp_norm_prep": 1.0}
+    if weights is not None:
+        if square:
+            raise PreconditionError("weights apply to the symmetrized encoding, not square=True")
+        w = np.asarray(weights, dtype=float)
+        if np.any(w < 1.0 - 1e-12):
+            raise PreconditionError("stored weights must satisfy w_j >= 1")
+        if w.shape != (m_rows,):
+            raise DimensionError("need one weight per stored row")
+        w_max = float(w.max())
+        rows = np.sqrt(w / w_max)[:, None] * rows
+        stored = np.sqrt(w)[:, None] * stored
+        alpha = math.sqrt(w_max) * mu
+        queries["weight_oracle"] = 1.0
 
     if square:
         if m_rows != n_cols:
             raise DimensionError("square mode requires a square stored matrix")
-        psi, phi, q_dim = _kp_states_square(mode, tree, tree_p, tree_q, m_rows, n_cols)
-        target_small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
+        psi, phi, q_dim = _kp_states_square(rows, cols)
+        target = embed(stored, q_dim)
     else:
-        psi, phi, q_dim = _kp_states_complement(mode, tree, tree_p, tree_q, m_rows, n_cols)
-        small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
-        target_small = complement_matrix(small)
+        psi, phi, q_dim = _kp_states_complement(rows, cols)
+        target = embed(complement_matrix(stored), q_dim)
 
     gram = _gram(psi, phi)
     if perturb > 0.0:
@@ -342,74 +357,56 @@ def from_kp(
         gen = gen + gen.T
         gen = gen / spectral_norm(gen)
         # (Psi E)^dagger Phi = E^dagger Psi^dagger Phi
-        gram = scipy.linalg.expm(1j * (perturb / mu.value) * gen).conj().T @ gram
-    ledger = CostLedger(
-        {"kp_row_prep": 1.0, "kp_norm_prep": 1.0},
-        gates=math.log2(max(m_rows * n_cols, 2) / max(eps, 1e-15)) ** 2,
-    )
-    encoding = BlockEncoding(
+        gram = scipy.linalg.expm(1j * (perturb / alpha) * gen).conj().T @ gram
+    return BlockEncoding(
         corner=gram,
-        alpha=mu.value,
-        ancillas=int(round(math.log2(q_dim))),
-        epsilon=float(eps),
-        system_dim=q_dim,
-        ledger=ledger,
-        target=embed(target_small, q_dim),
-    )
-    return encoding, mu
-
-
-def _kp_target(tree_p: KPTree, tree_q: KPTree) -> np.ndarray:
-    """Reconstruct A from its power trees: sign|A|^p entrywise-times |A|^(1-p)."""
-    return tree_p.to_matrix() * tree_q.to_matrix().T
-
-
-def from_kp_weighted(
-    weights,
-    mode: str = "frobenius",
-    tree: KPTree | None = None,
-    tree_p: KPTree | None = None,
-    tree_q: KPTree | None = None,
-    p: float | None = None,
-    eps: float = 0.0,
-) -> tuple[BlockEncoding, float]:
-    """Encoding of the symmetrized sqrt(W) X from trees storing X plus stored weights.
-
-    The row states pick up an extra sqrt(w_j / w_max) scaling (absorbed into
-    the tail weight), so the normalization becomes sqrt(w_max) mu(X).
-    Weights must satisfy w_j >= 1.  The block is the Gram matrix of the
-    state families, written from their amplitude tables as in `from_kp`;
-    its padding rows and columns are exact zeros.
-    """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 1.0 - 1e-12):
-        raise PreconditionError("stored weights must satisfy w_j >= 1")
-    mu = mu_of(mode, tree=tree, tree_p=tree_p, tree_q=tree_q, p=p)
-    base = tree if mode == "frobenius" else tree_p
-    if w.shape != (base.rows,):
-        raise DimensionError("need one weight per stored row")
-    w_max = float(w.max())
-    row_scale = np.sqrt(w / w_max)
-    psi, phi, q_dim = _kp_states_complement(
-        mode, tree, tree_p, tree_q, base.rows, base.cols, row_scale=row_scale
-    )
-    small = base.to_matrix() if mode == "frobenius" else _kp_target(tree_p, tree_q)
-    target_small = complement_matrix(np.sqrt(w)[:, None] * small)
-    alpha = math.sqrt(w_max) * mu.value
-    ledger = CostLedger(
-        {"kp_row_prep": 1.0, "kp_norm_prep": 1.0, "weight_oracle": 1.0},
-        gates=math.log2(max(base.rows * base.cols, 2) / max(eps, 1e-15)) ** 2,
-    )
-    encoding = BlockEncoding(
-        corner=_gram(psi, phi),
         alpha=alpha,
         ancillas=int(round(math.log2(q_dim))),
         epsilon=float(eps),
         system_dim=q_dim,
-        ledger=ledger,
-        target=embed(target_small, q_dim),
+        ledger=CostLedger(
+            queries, gates=math.log2(max(m_rows * n_cols, 2) / max(eps, 1e-15)) ** 2
+        ),
+        target=target,
     )
-    return encoding, alpha
+
+
+def _kp_families(a: np.ndarray, p: float | None):
+    """Row states, column states, mu and the stored matrix of A's KP input model.
+
+    Row j of `rows` is state j over the N column indices, row k of `cols`
+    state k over the M row indices, and their inner product is A_jk / mu.
+    With p None, row state j is A_j / ||A_j|| (an all-zero row has none) and
+    every column state is the row-norm state ||A_i|| / ||A||_F.  With p, row
+    state j is sign(A_j)|A_j|^p / sqrt(s_2p) and column state k is
+    |A_.k|^(1-p) / sqrt(s_2(1-p)), where each s is the largest row-tree
+    root; mu_p = sqrt(s_2p s_2(1-p)).  Those states may have norm below 1.
+    """
+    if p is None:
+        tree = KPTree.from_matrix(a)
+        rows = np.zeros((tree.rows, tree.cols))
+        for j in range(tree.rows):
+            if tree.row_norm_sq(j) != 0.0:
+                rows[j] = tree.row_amplitudes(j)
+        cols = np.tile(tree.row_norm_amplitudes(), (tree.cols, 1))
+        return rows, cols, float(np.sqrt(tree.frobenius_sq)), tree.to_matrix()
+    tree_p, tree_q = power_trees(a, p)
+    s_2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
+    s_2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
+    mu = float(np.sqrt(s_2p * s_2q))
+    stored = tree_p.to_matrix() * tree_q.to_matrix().T
+    return _tree_rows(tree_p, s_2p), _tree_rows(tree_q, s_2q), mu, stored
+
+
+def _tree_rows(tree: KPTree, norm_sq: float) -> np.ndarray:
+    """The signed rows of the stored matrix over sqrt(norm_sq)."""
+    leaves = np.array([t.leaves(tree.cols) for t in tree.row_trees])
+    return np.array(tree.signs) * np.sqrt(leaves / norm_sq)
+
+
+def _tails(states: np.ndarray) -> np.ndarray:
+    """Amplitude on a spare slot that makes each row of `states` a unit vector."""
+    return np.sqrt(np.maximum(0.0, 1.0 - np.sum(states**2, axis=1)))
 
 
 def _gram(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -425,7 +422,7 @@ def _kp_register(used: int) -> int:
     return q_dim
 
 
-def _kp_states_complement(mode, tree, tree_p, tree_q, m_rows, n_cols, row_scale=None):
+def _kp_states_complement(rows: np.ndarray, cols: np.ndarray):
     """Amplitude tables (P, F) of the complement state families, and q.
 
     The families live on the q^2-dim register |anc, sys>: psi_j on system
@@ -434,69 +431,39 @@ def _kp_states_complement(mode, tree, tree_p, tree_q, m_rows, n_cols, row_scale=
     share, so <psi_j|phi_k> = conj(P[j, k]) F[j, k].  Row j of P holds all
     of psi_j and column k of F all of phi_k, so the tables are the families
     without their q^2-length zero padding.  Here phi_k is psi_k with the two
-    registers swapped, so F = P^T.  Column `slot` holds each state's
-    tail weight; rows and columns past it are unused and stay zero.
+    registers swapped, so F = P^T.  psi_j for j < M carries row state j on
+    the ancilla indices M..M+N-1, psi_{M+k} carries column state k on
+    0..M-1, and column `slot` holds each state's tail weight; rows and
+    columns past it are unused and stay zero.
     """
-    slot = m_rows + n_cols  # overflow coordinate for tail weight
+    m_rows, n_cols = rows.shape
+    slot = m_rows + n_cols
     q_dim = _kp_register(slot)
-    cols = slice(m_rows, slot)
-    scale = np.ones(m_rows) if row_scale is None else np.asarray(row_scale, dtype=float)
     psi = np.zeros((q_dim, q_dim), dtype=complex)
-
-    if mode == "frobenius":
-        for j in range(m_rows):
-            if tree.row_norm_sq(j) == 0.0:
-                psi[j, slot] = 1.0
-                continue
-            psi[j, cols] = scale[j] * tree.row_amplitudes(j)
-            psi[j, slot] = math.sqrt(max(0.0, 1.0 - scale[j] ** 2))
-        psi[cols, :m_rows] = tree.row_norm_amplitudes()
-    else:
-        s2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
-        s2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
-        for j in range(m_rows):
-            leaves = tree_p.row_trees[j].leaves(n_cols)
-            signs = tree_p.signs[j][:n_cols]
-            psi[j, cols] = scale[j] * signs * np.sqrt(leaves / s2p)
-            psi[j, slot] = math.sqrt(max(0.0, 1.0 - scale[j] ** 2 * leaves.sum() / s2p))
-        for k in range(n_cols):
-            leaves = tree_q.row_trees[k].leaves(m_rows)
-            psi[m_rows + k, :m_rows] = np.sqrt(leaves / s2q)
-            psi[m_rows + k, slot] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
+    psi[:m_rows, m_rows:slot] = rows
+    psi[:m_rows, slot] = _tails(rows)
+    psi[m_rows:slot, :m_rows] = cols
+    psi[m_rows:slot, slot] = _tails(cols)
     return psi, psi.T, q_dim
 
 
-def _kp_states_square(mode, tree, tree_p, tree_q, m_rows, n_cols):
+def _kp_states_square(rows: np.ndarray, cols: np.ndarray):
     """Amplitude tables (P, F) of the single-index state families, and q.
 
     Same layout as `_kp_states_complement`: P[j, k] and F[j, k] are the
-    amplitudes of psi_j and phi_k on |anc=k, sys=j>.  psi_j carries row j
-    of A (tail at ancilla `slot`), phi_k the column norms (tail at system
+    amplitudes of psi_j and phi_k on |anc=k, sys=j>.  psi_j carries row
+    state j (tail at ancilla `slot`), phi_k column state k (tail at system
     `slot`).
     """
+    m_rows, n_cols = rows.shape
     slot = max(m_rows, n_cols)
     q_dim = _kp_register(slot)
     psi = np.zeros((q_dim, q_dim), dtype=complex)
     phi = np.zeros((q_dim, q_dim), dtype=complex)
-
-    if mode == "frobenius":
-        for j in range(m_rows):
-            if tree.row_norm_sq(j) == 0.0:
-                psi[j, slot] = 1.0
-                continue
-            psi[j, :n_cols] = tree.row_amplitudes(j)
-        phi[:m_rows, :n_cols] = tree.row_norm_amplitudes()[:, None]
-    else:
-        s2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
-        s2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
-        for j in range(m_rows):
-            leaves = tree_p.row_trees[j].leaves(n_cols)
-            psi[j, :n_cols] = tree_p.signs[j][:n_cols] * np.sqrt(leaves / s2p)
-            psi[j, slot] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2p))
-        for k in range(n_cols):
-            leaves = tree_q.row_trees[k].leaves(m_rows)
-            phi[:m_rows, k] = np.sqrt(leaves / s2q)
-            phi[slot, k] = math.sqrt(max(0.0, 1.0 - leaves.sum() / s2q))
+    psi[:m_rows, :n_cols] = rows
+    psi[:m_rows, slot] = _tails(rows)
+    phi[:m_rows, :n_cols] = cols.T
+    phi[slot, :n_cols] = _tails(cols)
     return psi, phi, q_dim
 
 

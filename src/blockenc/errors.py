@@ -33,10 +33,6 @@ class ZeroVectorError(BlockEncError):
     """A queried row or vector has zero norm and cannot be normalized."""
 
 
-class MissingTreeError(BlockEncError):
-    """A p-norm mode operation requires companion trees that were not supplied."""
-
-
 class SparsityError(BlockEncError):
     """The declared sparsity bound is violated by the actual oracle data."""
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .encoding import BlockEncoding
 from .errors import NormError, PreconditionError, SpectrumError
-from .linalg import CONSTRUCTION_TOL, hermitian_function, hermitianize, spectral_norm
+from .linalg import CONSTRUCTION_TOL, hermitian_function, hermitianize
 
 _SPECTRUM_SLACK = 1e-9
 
@@ -190,9 +190,6 @@ def smooth_function(
     b = series.envelope
     func = (v * series.evaluate(w, degree)) @ v.conj().T
     block = func / b
-    nrm = spectral_norm(block)
-    if nrm > 1.0:
-        block = block / nrm
     # one controlled (M, gamma)-simulation with M ~ r log(1/eps')/delta, gamma ~ 1/r
     m_sim = series.radius * _log2(1.0 / eps_prime) / series.delta
     sim_rounds = u.alpha * m_sim / max(series.radius, 1e-300) + _log2(m_sim) * _log2(
@@ -267,9 +264,6 @@ def negative_power(
         return np.sign(w) * np.abs(w) ** (-c)
 
     block = hermitian_function(u.applied(), f) / alpha_out
-    nrm = spectral_norm(block)
-    if nrm > 1.0:
-        block = block / nrm
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
         corner=block,

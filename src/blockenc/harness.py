@@ -23,7 +23,6 @@ from . import fixtures
 from .encoding import encode, from_kp
 from .errors import ConfigError
 from .hamsim import block_ham_sim, negative_power, positive_power
-from .kptree import KPTree, power_trees
 from .linalg import complement_matrix, embed, hermitianize, normalize, spectral_norm
 from .mmio import read_matrix, read_vector
 from .network import (
@@ -173,12 +172,7 @@ def _mu_p(params) -> float | None:
 
 def _task_encode(p, eps, rng):
     a = _load_matrix(p["matrix"])
-    mu_p = _mu_p(p)
-    if mu_p is None:
-        enc, mu = from_kp(mode="frobenius", tree=KPTree.from_matrix(a))
-    else:
-        tp, tq = power_trees(a, mu_p)
-        enc, mu = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=mu_p)
+    enc = from_kp(a, _mu_p(p))
     reference = embed(complement_matrix(a), enc.system_dim)
     err = spectral_norm(reference - enc.applied())
     return err, 0.0, None, enc.ledger.to_dict()

@@ -12,22 +12,9 @@ entries, after which reads are safe concurrently.
 
 from __future__ import annotations
 
-import os
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    IndexRangeError,
-    MissingTreeError,
-    ZeroVectorError,
-)
-from .mmio import read_matrix
-
-_MAGIC = b"KPT1"
-_VERSION = 1
+from .errors import DimensionError, IndexRangeError, ZeroVectorError
 
 
 def _next_pow2(n: int) -> int:
@@ -68,15 +55,6 @@ class _SumTree:
         return touched
 
 
-@dataclass
-class MuParams:
-    """Normalization achievable from the stored trees."""
-
-    mode: str  # "frobenius" | "p-norm"
-    value: float
-    p: float | None = None
-
-
 class KPTree:
     """Per-row binary trees of squared magnitudes plus a top-level row-norm tree."""
 
@@ -105,13 +83,6 @@ class KPTree:
                     tree.insert(i, j, m[i, j])
         return tree
 
-    @classmethod
-    def from_matrix_market(cls, path) -> "KPTree":
-        m = read_matrix(path)
-        if not np.allclose(m.imag, 0.0):
-            raise ValueError("KP trees store real matrices only")
-        return cls.from_matrix(m.real)
-
     def insert(self, i: int, j: int, value: float) -> "KPTree":
         """Store entry (i, j); overwriting subtracts the old value along both paths.
 
@@ -135,29 +106,23 @@ class KPTree:
     def row_norm_sq(self, i: int) -> float:
         return self.row_trees[i].root
 
-    def row_amplitudes(self, i: int, perturb: float = 0.0, rng=None) -> np.ndarray:
-        """Signed normalized row state sum_j A_ij |j> / ||A_i||  (the U-tilde target).
-
-        `perturb` injects a bounded perturbation standing in for the rotation
-        cascade's discretization error; 0 gives the exact map.
-        """
+    def row_amplitudes(self, i: int) -> np.ndarray:
+        """Signed normalized row state sum_j A_ij |j> / ||A_i||  (the U-tilde target)."""
         if not 0 <= i < self.rows:
             raise IndexRangeError(f"row {i} out of range")
         nrm2 = self.row_trees[i].root
         if nrm2 <= 0.0:
             raise ZeroVectorError(f"row {i} is all-zero; state preparation undefined")
-        amps = self.signs[i][: self.cols] * np.sqrt(self.row_trees[i].leaves(self.cols) / nrm2)
-        return _maybe_perturb(amps, perturb, rng)
+        return self.signs[i][: self.cols] * np.sqrt(self.row_trees[i].leaves(self.cols) / nrm2)
 
-    def row_norm_amplitudes(self, perturb: float = 0.0, rng=None) -> np.ndarray:
+    def row_norm_amplitudes(self) -> np.ndarray:
         """Row-norm state sum_i ||A_i|| |i> / ||A||_F  (the V-tilde target)."""
         total = self.top.root
         if total <= 0.0:
             raise ZeroVectorError("all entries are zero; state preparation undefined")
-        amps = np.sqrt(self.top.leaves(self.rows) / total)
-        return _maybe_perturb(amps, perturb, rng)
+        return np.sqrt(self.top.leaves(self.rows) / total)
 
-    def vector_state(self, perturb: float = 0.0, rng=None) -> np.ndarray:
+    def vector_state(self) -> np.ndarray:
         """For an M x 1 tree, the signed state sum_i v_i |i> / ||v||."""
         if self.cols != 1:
             raise DimensionError("vector_state requires an M x 1 tree")
@@ -165,8 +130,7 @@ class KPTree:
         if total <= 0.0:
             raise ZeroVectorError("zero vector cannot be prepared as a state")
         signs = np.array([self.signs[i][0] for i in range(self.rows)])
-        amps = signs * np.sqrt(self.top.leaves(self.rows) / total)
-        return _maybe_perturb(amps, perturb, rng)
+        return signs * np.sqrt(self.top.leaves(self.rows) / total)
 
     def to_matrix(self) -> np.ndarray:
         """Reconstruct the stored matrix (testing and oracle verification)."""
@@ -174,57 +138,6 @@ class KPTree:
         for i in range(self.rows):
             out[i] = self.signs[i][: self.cols] * np.sqrt(self.row_trees[i].leaves(self.cols))
         return out
-
-    # -- snapshot format ----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Binary snapshot: versioned header then little-endian node arrays."""
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IQQ", _VERSION, self.rows, self.cols))
-            fh.write(self.top.nodes.astype("<f8").tobytes())
-            for i in range(self.rows):
-                fh.write(self.row_trees[i].nodes.astype("<f8").tobytes())
-                fh.write(self.signs[i].astype("<i1").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "KPTree":
-        """Read a `save` snapshot; its size must be exactly what the header implies."""
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError("not a KP tree snapshot")
-            header = fh.read(20)
-            if len(header) != 20:
-                raise ValueError("KP tree snapshot is truncated inside its header")
-            version, rows, cols = struct.unpack("<IQQ", header)
-            if version != _VERSION:
-                raise ValueError(f"unsupported snapshot version {version}")
-            top_n = 2 * _next_pow2(max(1, rows))
-            row_n = 2 * _next_pow2(max(1, cols))
-            expected = len(_MAGIC) + len(header) + 8 * top_n + rows * (8 * row_n + cols)
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                kind = "truncated" if size < expected else "has trailing bytes"
-                raise ValueError(
-                    f"KP tree snapshot {kind}: {size} bytes, header implies {expected}"
-                )
-            tree = cls(rows, cols)
-            tree.top.nodes = np.frombuffer(fh.read(8 * top_n), dtype="<f8").astype(float)
-            for i in range(rows):
-                tree.row_trees[i].nodes = np.frombuffer(fh.read(8 * row_n), dtype="<f8").astype(float)
-                tree.signs[i] = np.frombuffer(fh.read(cols), dtype="<i1").astype(float)
-        return tree
-
-
-def _maybe_perturb(amps: np.ndarray, perturb: float, rng) -> np.ndarray:
-    if perturb == 0.0:
-        return amps
-    if rng is None:
-        rng = np.random.default_rng(0)
-    noise = rng.normal(size=amps.shape)
-    noise = noise / max(np.linalg.norm(noise), 1e-300) * perturb
-    out = amps + noise
-    return out / np.linalg.norm(out)
 
 
 def signed_power(a, p: float) -> np.ndarray:
@@ -238,36 +151,8 @@ def abs_power(a, p: float) -> np.ndarray:
 
 
 def power_trees(a, p: float) -> tuple[KPTree, KPTree]:
-    """Companion trees for the p-norm route: sign(A)|A|^p and (|A|^(1-p))^T."""
+    """The two trees of the mu_p input model: sign(A)|A|^p and (|A|^(1-p))^T."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return KPTree.from_matrix(signed_power(a, p)), KPTree.from_matrix(abs_power(a, 1.0 - p).T)
 
-
-def mu_of(
-    mode: str,
-    tree: KPTree | None = None,
-    tree_p: KPTree | None = None,
-    tree_q: KPTree | None = None,
-    p: float | None = None,
-) -> MuParams:
-    """Normalization parameter from stored trees.
-
-    frobenius mode reads ||A||_F off the top tree of `tree`.  p-norm mode needs
-    the A^(p) tree (`tree_p`) and the (A^(1-p))^T tree (`tree_q`) and returns
-    mu_p(A) = sqrt(s_2p(A) * s_2(1-p)(A^T)), where s_q(A) is the maximum row
-    q-norm to the q-th power, i.e. the largest row-tree root.
-    """
-    if mode == "frobenius":
-        if tree is None:
-            raise MissingTreeError("frobenius mode requires the A tree")
-        return MuParams(mode="frobenius", value=float(np.sqrt(tree.frobenius_sq)))
-    if mode in ("p-norm", "p"):
-        if tree_p is None or tree_q is None:
-            raise MissingTreeError("p-norm mode requires the A^(p) and (A^(1-p))^T trees")
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p-norm mode requires p in [0, 1], got {p}")
-        s_2p = max(tree_p.row_norm_sq(i) for i in range(tree_p.rows))
-        s_2q = max(tree_q.row_norm_sq(i) for i in range(tree_q.rows))
-        return MuParams(mode="p-norm", value=float(np.sqrt(s_2p * s_2q)), p=p)
-    raise ValueError(f"unknown mu mode {mode!r}")

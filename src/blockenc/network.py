@@ -16,7 +16,6 @@ import numpy as np
 
 from .encoding import encode, from_kp, from_sparse_access
 from .errors import GraphError, PreconditionError
-from .kptree import KPTree, power_trees
 from .ledger import CostLedger
 from .linalg import complement_matrix, pseudoinverse, spectral_norm
 from .solvers import qls_norm_estimate
@@ -155,12 +154,7 @@ def _network_encoding(network: ElectricalNetwork, route: str, p: float | None):
     if route == "exact":
         return encode(cbar, alpha=spectral_norm(cbar))
     if route == "kp":
-        if p is None:
-            enc, _ = from_kp(mode="frobenius", tree=KPTree.from_matrix(c))
-        else:
-            tp, tq = power_trees(c, p)
-            enc, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p)
-        return enc
+        return from_kp(c, p)
     if route == "sparse":
         # sparse access reads C/sqrt(w_max), whose entries lie in [-1, 1]
         s = max(network.max_degree, 2)

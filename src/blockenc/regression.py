@@ -23,7 +23,6 @@ from .encoding import (
     complement,
     encode,
     from_kp,
-    from_kp_weighted,
     from_sparse_access,
     preamplified_product,
     product,
@@ -31,7 +30,6 @@ from .encoding import (
 )
 from .errors import DimensionError, NormError, PreconditionError
 from .hamsim import negative_power
-from .kptree import KPTree, power_trees
 from .ledger import CostLedger
 from .linalg import embed, hermitian_function, normalize, spectral_norm
 from .mmio import read_matrix, read_vector
@@ -201,18 +199,10 @@ def wls_solve(
     b = problem.target_state()
     gamma = 1.0 - problem.eta
     if route == "kp-a":
-        if p is None:
-            enc, _ = from_kp(mode="frobenius", tree=KPTree.from_matrix(a))
-        else:
-            tp, tq = power_trees(a, p)
-            enc, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p)
+        enc = from_kp(a, p)
         b_cost = CostLedger.single("kp_b_prep")
     elif route == "kp-x-weights":
-        if p is None:
-            enc, _ = from_kp_weighted(problem.weights, mode="frobenius", tree=KPTree.from_matrix(problem.x))
-        else:
-            tp, tq = power_trees(problem.x, p)
-            enc, _ = from_kp_weighted(problem.weights, mode="p-norm", tree_p=tp, tree_q=tq, p=p)
+        enc = from_kp(problem.x, p, weights=problem.weights)
         # b = sqrt(W)|y> needs O(sqrt(w_max)) amplification rounds on the y tree
         b_cost = CostLedger.single("kp_b_prep", math.sqrt(problem.weights.max()))
     elif route == "sparse":
@@ -240,12 +230,7 @@ def _omega_inv_sqrt_encoding(
     if route == "omega-encoding":
         base = encode(problem.omega)
     elif route == "kp":
-        if p is None:
-            base, _ = from_kp(mode="frobenius", tree=KPTree.from_matrix(problem.omega), square=True)
-        else:
-            tp, tq = power_trees(problem.omega, p)
-            base, _ = from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=p, square=True)
-        base = restrict(base, problem.omega.shape[0])
+        base = restrict(from_kp(problem.omega, p, square=True), problem.omega.shape[0])
     elif route == "sparse":
         base = from_sparse_access(problem.omega)
     else:

@@ -76,18 +76,6 @@ class SVEBranch:
     def estimate_of(self, z: int) -> float:
         return 2.0 * math.pi * abs(z) / self.t_steps
 
-    @property
-    def z_star(self) -> int:
-        return int(np.round(self.t_steps * self.sigma / (2.0 * math.pi)))
-
-    def peak_prob(self) -> float:
-        mask = np.abs(self.z_values) == abs(self.z_star)
-        return float(self.probs[mask].sum())
-
-    def offset_prob(self, d: int) -> float:
-        mask = np.abs(self.z_values) == abs(self.z_star + d)
-        return float(self.probs[mask].sum())
-
     def sample_estimate(self, rng, repetitions: int) -> float | None:
         """Median estimate over the repetitions that land in the good branch."""
         good = rng.random(repetitions) < self.beta_sq

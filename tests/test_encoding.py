@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ import scipy.sparse
 from blockenc import encoding as be
 from blockenc import hamsim, linalg
 from blockenc.capacity import max_dim
-from blockenc.errors import CapacityError, NormError, PreconditionError, SparsityError
-from blockenc.kptree import KPTree, power_trees
+from blockenc.errors import (
+    CapacityError,
+    DimensionError,
+    NormError,
+    PreconditionError,
+    SparsityError,
+)
 from blockenc.linalg import complement_matrix, embed, is_unitary, spectral_norm
 
 
@@ -19,7 +25,7 @@ def noisy_encoding(a, alpha, eps, rng):
     """Encoding whose true block error is strictly below the declared eps."""
     noise = rng.normal(size=a.shape)
     noise = noise / spectral_norm(noise) * (0.7 * eps)
-    return be.encode(a + noise, alpha=alpha + eps).claiming(a, eps)
+    return replace(be.encode(a + noise, alpha=alpha + eps), target=a, epsilon=eps)
 
 
 def test_exact_encode_examples():
@@ -178,14 +184,13 @@ def test_from_sparse_access_sums_duplicates_and_ignores_stored_zeros():
 
 
 def test_from_kp_identity_modes():
-    enc, mu = be.from_kp(mode="frobenius", tree=KPTree.from_matrix(np.eye(2)))
-    assert abs(mu.value - math.sqrt(2)) < 1e-12
+    enc = be.from_kp(np.eye(2))
+    assert abs(enc.alpha - math.sqrt(2)) < 1e-12
     target = embed(complement_matrix(np.eye(2)), enc.system_dim)
     assert spectral_norm(enc.block() - target / math.sqrt(2)) < 1e-9
 
-    tp, tq = power_trees(np.eye(2), 0.5)
-    enc2, mu2 = be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
-    assert abs(mu2.value - 1.0) < 1e-12
+    enc2 = be.from_kp(np.eye(2), 0.5)
+    assert abs(enc2.alpha - 1.0) < 1e-12
     target2 = embed(complement_matrix(np.eye(2)), enc2.system_dim)
     assert spectral_norm(enc2.block() - target2) < 1e-9
 
@@ -194,36 +199,52 @@ def test_from_kp_inner_product_structure():
     # <psi_j | phi_{M+k}> = A_{j,k} / mu_p(A), checked entrywise via the block
     rng = np.random.default_rng(6)
     a = rng.normal(size=(3, 2))
-    tp, tq = power_trees(a, 0.5)
-    enc, mu = be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
+    enc = be.from_kp(a, 0.5)
     block = enc.block()
     m = 3
     for j in range(3):
         for k in range(2):
-            assert abs(block[j, m + k] - a[j, k] / mu.value) < 1e-10
-            assert abs(block[m + k, j] - a[j, k] / mu.value) < 1e-10
+            assert abs(block[j, m + k] - a[j, k] / enc.alpha) < 1e-10
+            assert abs(block[m + k, j] - a[j, k] / enc.alpha) < 1e-10
 
 
 def test_from_kp_random_both_modes():
     rng = np.random.default_rng(7)
     for _ in range(5):
         a = rng.normal(size=(3, 3))
-        enc, mu = be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a))
+        enc = be.from_kp(a)
         target = embed(complement_matrix(a), enc.system_dim)
-        assert spectral_norm(target / mu.value - enc.block()) < 1e-9
-        tp, tq = power_trees(a, 0.5)
-        enc2, mu2 = be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
-        assert spectral_norm(target / mu2.value - enc2.block()) < 1e-9
+        assert spectral_norm(target / enc.alpha - enc.block()) < 1e-9
+        enc2 = be.from_kp(a, 0.5)
+        assert spectral_norm(target / enc2.alpha - enc2.block()) < 1e-9
 
 
 def test_from_kp_perturbation_respects_eps():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(2, 2))
-    enc, mu = be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), eps=1e-4,
-                         perturb=5e-5, rng=rng)
+    enc = be.from_kp(a, eps=1e-4, perturb=5e-5, rng=rng)
     assert enc.verify()
     with pytest.raises(PreconditionError):
-        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), eps=1e-6, perturb=1e-4)
+        be.from_kp(a, eps=1e-6, perturb=1e-4)
+
+
+def test_from_kp_weights():
+    # stored weights encode the symmetrized sqrt(W) X, with alpha = sqrt(w_max) mu
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(4, 3))
+    w = np.array([1.0, 2.0, 4.0, 1.5])
+    for p in (None, 0.5):
+        enc = be.from_kp(x, p, weights=w)
+        assert enc.alpha == 2.0 * be.from_kp(x, p).alpha
+        assert enc.ledger.queries["weight_oracle"] == 1.0
+        target = embed(complement_matrix(np.sqrt(w)[:, None] * x), enc.system_dim)
+        assert spectral_norm(enc.applied() - target) < 1e-12
+    with pytest.raises(PreconditionError, match="w_j >= 1"):
+        be.from_kp(x, weights=[1.0, 0.5, 2.0, 1.0])
+    with pytest.raises(DimensionError, match="one weight per stored row"):
+        be.from_kp(x, weights=[1.0, 2.0, 3.0])
+    with pytest.raises(PreconditionError, match="square"):
+        be.from_kp(rng.normal(size=(3, 3)), weights=[1.0, 2.0, 3.0], square=True)
 
 
 def test_apply_to_state():
@@ -253,7 +274,7 @@ def test_kfold_unitary_product_error():
             w = np.linalg.eigh((h + h.T) / 2)[1]
             noise = rng.normal(size=(2, 2))
             noise = noise / spectral_norm(noise) * (0.5 * eps)
-            us.append(be.encode(w + noise, alpha=1.0 + eps).claiming(w, eps))
+            us.append(replace(be.encode(w + noise, alpha=1.0 + eps), target=w, epsilon=eps))
             targets.append(w)
         block = np.eye(2)
         target = np.eye(2)
@@ -308,7 +329,6 @@ def test_every_constructor_stores_a_dilatable_block():
     ea = be.encode(a)  # alpha = ||a||: a block of norm 1
     eb = be.encode(b, alpha=2.0 * spectral_norm(b))
     x = rng.normal(size=(5, 3))
-    tp, tq = power_trees(x, 0.5)
     unit = be.encode(a / (2.0 * spectral_norm(a)), alpha=1.0)
     comp = be.complement(ea)
     encodings = [
@@ -320,13 +340,11 @@ def test_every_constructor_stores_a_dilatable_block():
         be.restrict(comp, 4),
         be.compact(be.product(ea, eb)),
         be.from_sparse_access(np.clip(a / 3.0, -1.0, 1.0)),
-        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))[0],
-        be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0],
-        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(a), square=True)[0],
-        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x), eps=1e-4,
-                   perturb=5e-5, rng=rng)[0],
-        be.from_kp_weighted(rng.uniform(1.0, 3.0, size=5), mode="frobenius",
-                            tree=KPTree.from_matrix(x))[0],
+        be.from_kp(x),
+        be.from_kp(x, 0.5),
+        be.from_kp(a, square=True),
+        be.from_kp(x, eps=1e-4, perturb=5e-5, rng=rng),
+        be.from_kp(x, weights=rng.uniform(1.0, 3.0, size=5)),
     ]
     for enc in encodings:
         _assert_dilates_block(enc)
@@ -366,13 +384,11 @@ def test_from_kp_completes_no_unitary(monkeypatch):
     dilation = _count_calls(monkeypatch, linalg, "unitary_dilation")
     rng = np.random.default_rng(14)
     x = rng.normal(size=(16, 6))
-    tp, tq = power_trees(x, 0.5)
-    be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))
+    be.from_kp(x)
     assert len(null_space) == 0
-    be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)
+    be.from_kp(x, 0.5)
     assert len(null_space) == 0
-    be.from_kp_weighted(rng.uniform(1.0, 4.0, size=16), mode="frobenius",
-                        tree=KPTree.from_matrix(x))
+    be.from_kp(x, weights=rng.uniform(1.0, 4.0, size=16))
     assert len(null_space) == 0
     assert not dilation
 
@@ -381,19 +397,18 @@ def _kp_encodings(rng, m_rows, n_cols):
     """(encoding, used dimension) for every KP constructor on a random m x n input."""
     x = rng.normal(size=(m_rows, n_cols))
     x[0] = 0.0  # a zero row takes the tail-only state
-    tp, tq = power_trees(x, 0.5)
     w = rng.uniform(1.0, 4.0, size=m_rows)
     used = m_rows + n_cols
     out = [
-        (be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x))[0], used),
-        (be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0], used),
-        (be.from_kp_weighted(w, mode="frobenius", tree=KPTree.from_matrix(x))[0], used),
-        (be.from_kp_weighted(w, mode="p-norm", tree_p=tp, tree_q=tq, p=0.5)[0], used),
+        (be.from_kp(x), used),
+        (be.from_kp(x, 0.5), used),
+        (be.from_kp(x, weights=w), used),
+        (be.from_kp(x, 0.5, weights=w), used),
     ]
     if m_rows == n_cols:
         out += [
-            (be.from_kp(mode="frobenius", tree=KPTree.from_matrix(x), square=True)[0], m_rows),
-            (be.from_kp(mode="p-norm", tree_p=tp, tree_q=tq, p=0.5, square=True)[0], m_rows),
+            (be.from_kp(x, square=True), m_rows),
+            (be.from_kp(x, 0.5, square=True), m_rows),
         ]
     return out
 
@@ -415,13 +430,14 @@ def test_kp_state_families_are_unit_states():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(5, 5))
     x[0] = 0.0
-    tp, tq = power_trees(x, 0.5)
-    scale = np.sqrt(rng.uniform(0.25, 1.0, size=5))
+    scale = np.sqrt(rng.uniform(0.25, 1.0, size=5))[:, None]
+    frob_rows, frob_cols = be._kp_families(x, None)[:2]
+    p_rows, p_cols = be._kp_families(x, 0.5)[:2]
     tables = [
-        (be._kp_states_complement("frobenius", KPTree.from_matrix(x), None, None, 5, 5, scale), 10),
-        (be._kp_states_complement("p-norm", None, tp, tq, 5, 5, scale), 10),
-        (be._kp_states_square("frobenius", KPTree.from_matrix(x), None, None, 5, 5), 5),
-        (be._kp_states_square("p-norm", None, tp, tq, 5, 5), 5),
+        (be._kp_states_complement(scale * frob_rows, frob_cols), 10),
+        (be._kp_states_complement(scale * p_rows, p_cols), 10),
+        (be._kp_states_square(frob_rows, frob_cols), 5),
+        (be._kp_states_square(p_rows, p_cols), 5),
     ]
     for (psi, phi, _), used in tables:
         assert np.allclose(np.linalg.norm(psi[:used], axis=1), 1.0, atol=1e-14)
@@ -432,10 +448,10 @@ def test_from_kp_at_the_capacity_cap(monkeypatch):
     monkeypatch.delenv("BLOCKENC_MAX_QUBITS", raising=False)
     # 32 x 32: the complement register is 128^2 = 2^14, exactly the default cap
     rng = np.random.default_rng(17)
-    tree = KPTree.from_matrix(rng.normal(size=(32, 32)))
+    a = rng.normal(size=(32, 32))
     tracemalloc.start()
     try:
-        enc, _ = be.from_kp(mode="frobenius", tree=tree)
+        enc = be.from_kp(a)
         assert enc.verify()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -444,7 +460,7 @@ def test_from_kp_at_the_capacity_cap(monkeypatch):
     assert peak < 16 * 2**20
     # 64 x 64 is the first square size past the cap (256^2 = 2^16)
     with pytest.raises(CapacityError):
-        be.from_kp(mode="frobenius", tree=KPTree.from_matrix(rng.normal(size=(64, 64))))
+        be.from_kp(rng.normal(size=(64, 64)))
 
 
 def test_composition_chain_dilates_nothing(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def test_block_ham_sim_budget_enforced():
     rng = np.random.default_rng(0)
     noise = rng.normal(size=(2, 2))
     noise = noise / spectral_norm(noise) * 5e-4
-    enc = be.encode(np.eye(2) / 2 + noise, 1.0).claiming(np.eye(2) / 2, 1e-3)
+    enc = replace(be.encode(np.eye(2) / 2 + noise, 1.0), target=np.eye(2) / 2, epsilon=1e-3)
     with pytest.raises(PreconditionError):
         hs.block_ham_sim(enc, t=10.0, eps=1e-3)  # needs input error <= eps/20
 
@@ -198,6 +199,7 @@ def test_every_hamsim_constructor_stores_a_dilatable_block():
 
 def test_positive_power_block_norm_checked():
     # an input error of 5 admits eigenvalues up to 6, where H / 2 has norm above 1
-    enc = be.encode(np.diag([1.0, 0.5]), 1.0).rescaled(0.2).claiming(np.diag([5.0, 2.5]), 5.0)
+    enc = replace(be.encode(np.diag([1.0, 0.5]), 1.0).rescaled(0.2),
+                  target=np.diag([5.0, 2.5]), epsilon=5.0)
     with pytest.raises(NormError):
         hs.positive_power(enc, 1.0, 4.0, 1e-3)

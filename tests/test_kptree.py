@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blockenc.errors import IndexRangeError, MissingTreeError, ZeroVectorError
-from blockenc.kptree import KPTree, mu_of, power_trees
-from blockenc.mmio import write_matrix
+from blockenc.encoding import from_kp
+from blockenc.errors import IndexRangeError, ZeroVectorError
+from blockenc.kptree import KPTree
 
 
 def test_insert_single_entry():
@@ -101,73 +101,14 @@ def test_vector_state():
         KPTree.from_matrix(np.zeros(3)).vector_state()
 
 
+# mu is read off the tree roots and is the alpha of the KP encoding
 def test_mu_frobenius():
-    mu = mu_of("frobenius", tree=KPTree.from_matrix(np.eye(2)))
-    assert abs(mu.value - math.sqrt(2)) < 1e-12
+    assert abs(from_kp(np.eye(2)).alpha - math.sqrt(2)) < 1e-12
 
 
 def test_mu_p_identity():
-    tp, tq = power_trees(np.eye(2), 0.5)
-    assert abs(mu_of("p-norm", tree_p=tp, tree_q=tq, p=0.5).value - 1.0) < 1e-12
+    assert abs(from_kp(np.eye(2), 0.5).alpha - 1.0) < 1e-12
 
 
 def test_mu_p_ones():
-    tp, tq = power_trees(np.ones((2, 2)), 0.5)
-    assert abs(mu_of("p-norm", tree_p=tp, tree_q=tq, p=0.5).value - 2.0) < 1e-12
-
-
-def test_mu_missing_tree():
-    with pytest.raises(MissingTreeError):
-        mu_of("p-norm", tree=KPTree.from_matrix(np.eye(2)), p=0.5)
-
-
-def test_perturbation_hook():
-    tree = KPTree.from_matrix(np.array([[3.0, 4.0]]))
-    rng = np.random.default_rng(3)
-    amps = tree.row_amplitudes(0, perturb=1e-3, rng=rng)
-    assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
-    assert np.linalg.norm(amps - [0.6, 0.8]) <= 2.5e-3
-
-
-def test_snapshot_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 5))
-    tree = KPTree.from_matrix(a)
-    tree.save(tmp_path / "tree.kpt")
-    loaded = KPTree.load(tmp_path / "tree.kpt")
-    assert np.allclose(loaded.to_matrix(), a)
-    assert abs(loaded.frobenius_sq - tree.frobenius_sq) < 1e-12
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    (tmp_path / "bad.kpt").write_bytes(b"nope" + b"\x00" * 40)
-    with pytest.raises(ValueError):
-        KPTree.load(tmp_path / "bad.kpt")
-
-
-@pytest.mark.parametrize(
-    "message, damage",
-    [("trailing bytes", lambda data: data + b"\x00"), ("truncated", lambda data: data[:-1])],
-)
-def test_snapshot_size_checked(tmp_path, message, damage):
-    tree = KPTree.from_matrix(np.random.default_rng(5).normal(size=(3, 5)))
-    tree.save(tmp_path / "tree.kpt")
-    (tmp_path / "bad.kpt").write_bytes(damage((tmp_path / "tree.kpt").read_bytes()))
-    with pytest.raises(ValueError, match=message):
-        KPTree.load(tmp_path / "bad.kpt")
-
-
-def test_snapshot_truncated_header(tmp_path):
-    tree = KPTree.from_matrix(np.eye(2))
-    tree.save(tmp_path / "tree.kpt")
-    (tmp_path / "bad.kpt").write_bytes((tmp_path / "tree.kpt").read_bytes()[:10])
-    with pytest.raises(ValueError, match="header"):
-        KPTree.load(tmp_path / "bad.kpt")
-
-
-def test_bulk_load_matrix_market(tmp_path):
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 3))
-    write_matrix(tmp_path / "a.mtx", a)
-    tree = KPTree.from_matrix_market(tmp_path / "a.mtx")
-    assert np.allclose(tree.to_matrix(), a)
+    assert abs(from_kp(np.ones((2, 2)), 0.5).alpha - 2.0) < 1e-12

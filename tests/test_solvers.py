@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,10 +38,13 @@ def test_sve_paper_values():
     out = sv.singular_value_estimation(enc, np.array([1.0]), cfg)
     br = out.branches[0]
     assert br.beta_sq >= 3.0 / 8.0
-    assert br.peak_prob() >= 0.25 * (2 / math.pi - 0.25) ** 2
-    assert br.peak_prob() >= 0.037
+    z = np.abs(br.z_values)
+    z_star = int(np.round(br.t_steps * br.sigma / (2.0 * math.pi)))
+    peak = br.probs[z == abs(z_star)].sum()
+    assert peak >= 0.25 * (2 / math.pi - 0.25) ** 2
+    assert peak >= 0.037
     for d in range(2, 11):
-        assert br.offset_prob(d) <= 16.0 / (3.0 * d * d)
+        assert br.probs[z == abs(z_star + d)].sum() <= 16.0 / (3.0 * d * d)
 
 
 def test_sve_estimate_convention():
@@ -144,7 +148,7 @@ def test_qls_noisy_input_rejected():
     rng = np.random.default_rng(3)
     noise = rng.normal(size=(2, 2))
     noise = noise / np.linalg.norm(noise, 2) * 5e-3
-    enc = be.encode(np.diag([1.0, 0.5]) + noise).claiming(np.diag([1.0, 0.5]), 1e-2)
+    enc = replace(be.encode(np.diag([1.0, 0.5]) + noise), target=np.diag([1.0, 0.5]), epsilon=1e-2)
     with pytest.raises(PreconditionError):
         sv.qls_solve(enc, np.array([1.0, 0.0]), kappa=2.0, eps=1e-3)
 
