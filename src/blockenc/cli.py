@@ -6,8 +6,9 @@ Subcommands mirror the experiment tasks plus `sweep`:
     blockenc network --edges graph.txt -s 0 -t 2 --epsilon 0.1
     blockenc sweep --family qls-kappa --out sweep.csv
 
-A config file is a JSON object {"task": ..., "params": {...}, "seed": ...};
-flags override config values.  Reports are written to --out or stdout.
+A config file is a JSON object {"task": ..., "params": {...}, "seed": ...}
+whose task must be the subcommand's; a flag overrides a config value only when
+it is given.  Reports are written to --out or stdout.
 """
 
 from __future__ import annotations
@@ -54,14 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--matrix", help="Matrix Market input path")
         if task == "hamsim":
             sub.add_argument("--matrix")
-            sub.add_argument("--t", type=float, default=1.0)
+            sub.add_argument("--t", type=float, default=None)
         if task == "sve":
             sub.add_argument("--matrix")
-            sub.add_argument("--resolution", type=float, default=0.05, dest="delta_sve")
+            sub.add_argument("--resolution", type=float, default=None, dest="delta_sve")
         if task == "qls":
             sub.add_argument("--matrix")
             sub.add_argument("--b")
-            sub.add_argument("--route", choices=("vtaa", "naive"), default="vtaa")
+            sub.add_argument("--route", choices=("vtaa", "naive"), default=None)
         if task == "power":
             sub.add_argument("--matrix")
         if task in ("wls", "gls"):
@@ -69,13 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--route", default=None)
         if task == "network":
             sub.add_argument("--edges", help="edge list file: lines of 'u v w'")
-            sub.add_argument("-s", type=int, default=0)
-            sub.add_argument("-t", type=int, default=1)
-            sub.add_argument("--route", choices=("exact", "kp", "sparse"), default="exact")
+            sub.add_argument("-s", type=int, default=None)
+            sub.add_argument("-t", type=int, default=None)
+            sub.add_argument("--route", choices=("exact", "kp", "sparse"), default=None)
     sweep = subs.add_parser("sweep", help="scaling sweep over kappa or epsilon")
     _add_common(sweep)
     sweep.add_argument("--family", choices=SWEEP_FAMILIES, required=True)
     return parser
+
+
+# params a run always carries, filled in when neither a flag nor the config sets them
+_DEFAULTS = {
+    "hamsim": {"t": 1.0},
+    "sve": {"delta": 0.05},
+    "qls": {"route": "vtaa"},
+    "network": {"s": 0, "t": 1, "route": "exact"},
+}
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -83,6 +93,10 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             base.update(json.load(fh))
+    if base["task"] != args.command:
+        raise ConfigError(
+            f"config task {base['task']!r} does not match the subcommand {args.command!r}"
+        )
     params = dict(base.get("params", {}))
     for key in ("epsilon", "kappa", "delta", "p", "c"):
         val = getattr(args, key, None)
@@ -90,15 +104,14 @@ def _config_from_args(args) -> ExperimentConfig:
             params[key] = val
     if getattr(args, "mu_mode", None):
         params["mu_mode"] = "p-norm" if args.mu_mode == "p" else "frobenius"
-    for key in ("matrix", "b", "problem", "edges", "route", "t"):
+    for key in ("matrix", "b", "problem", "edges", "route", "s", "t"):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     if args.command == "sve" and getattr(args, "delta_sve", None) is not None:
         params["delta"] = args.delta_sve
-    if args.command == "network":
-        params["s"] = args.s
-        params["t"] = args.t
+    for key, val in _DEFAULTS.get(args.command, {}).items():
+        params.setdefault(key, val)
     seed = args.seed if args.seed is not None else base.get("seed", 0)
     return ExperimentConfig(task=base["task"], params=params, seed=int(seed))
 

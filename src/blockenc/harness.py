@@ -163,9 +163,15 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
     return report
 
 
+_MU_MODES = ("frobenius", "p-norm")
+
+
 def _mu_p(params) -> float | None:
     """The p of the mu_p normalisation, or None for the Frobenius mu."""
-    if params.get("mu_mode", "frobenius") == "frobenius":
+    mode = params.get("mu_mode", "frobenius")
+    if mode not in _MU_MODES:
+        raise ConfigError(f"unknown mu_mode {mode!r}; expected one of {_MU_MODES}")
+    if mode == "frobenius":
         return None
     return float(params.get("p", 0.5))
 

@@ -235,9 +235,10 @@ def _build_power_vsta(u: BlockEncoding, psi, cfg: QLSConfig, t_psi: float):
     """The staged algorithm on the eigenbranches of psi: (eigenvectors, VSTA, p_succ bound).
 
     Labels are the live eigenbranches, |<v_k|psi>| > 1e-14.  Stage j runs GPE
-    at precision phi_j, then on the stopped part the inversion patch.  Only
-    branches still running (a0 > 0 at every earlier stage) are evaluated; the
-    later entries of a stopped branch stay zero, as nothing of it runs.
+    at precision phi_j, then on the stopped part the inversion patch.  GPE is
+    evaluated once per stage, over the labels still running there (a0 > 0 at
+    every earlier stage); the later entries of a stopped branch stay zero, as
+    nothing of it runs, and a stage with nothing running is skipped.
     """
     w, v = np.linalg.eigh(hermitianize(u.applied()))
     coeffs = v.conj().T @ normalize(np.asarray(psi, dtype=complex))
@@ -248,14 +249,17 @@ def _build_power_vsta(u: BlockEncoding, psi, cfg: QLSConfig, t_psi: float):
     good, bad, cont = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     running = np.ones(len(w), dtype=bool)
     for j in range(cfg.stages):
+        labels = np.flatnonzero(running)
+        if labels.size == 0:
+            break
         phi = _stage_phi(j + 1)
-        for label in np.flatnonzero(running):
-            lam = float(w[label])
-            a0, a1 = gpe_split(lam, phi, cfg.eps_prime)
-            g = inversion_patch_amplitude(lam, phi, cfg.power, cfg.alpha_max)
-            good[j, label] = a1 * g
-            bad[j, label] = a1 * math.sqrt(max(0.0, 1.0 - g * g))
-            cont[j, label] = a0
+        lams = w[labels]
+        a0, a1 = gpe_split(lams, phi, cfg.eps_prime)
+        g = np.array([inversion_patch_amplitude(float(lam), phi, cfg.power, cfg.alpha_max)
+                      for lam in lams])
+        good[j, labels] = a1 * g
+        bad[j, labels] = a1 * np.sqrt(np.maximum(0.0, 1.0 - g * g))
+        cont[j, labels] = a0
         running &= cont[j] > 0
     vsta = VSTA(
         times=_stage_times(u, cfg, t_psi), initial=coeffs[live], good=good, bad=bad, cont=cont

@@ -8,7 +8,8 @@ is a vector of running amplitudes plus stages x labels arrays of the stopped
 good and bad ones, row j-1 for clock value j.  Gapped phase estimation enters
 as a per-eigenbranch two-outcome split with amplitudes from the exact boosted
 outcome distribution, so every probability the analysis uses is preserved
-while the register count stays inside the qubit budget.
+while the register count stays inside the qubit budget.  It is evaluated once
+per stage, over the array of labels still running there.
 
 Amplitude estimation samples its outcome from the exact canonical
 distribution over M grid points (a sum of two Fejer kernels).  Each (angle, M)
@@ -57,30 +58,38 @@ def _dirichlet(n: int, x: np.ndarray) -> np.ndarray:
     return np.where(tiny, 2.0 * n + 1.0, num / np.where(tiny, 1.0, den))
 
 
-@lru_cache(maxsize=4096)
-def gpe_split(lam: float, phi: float, eps: float) -> tuple[float, float]:
-    """Exact boosted GPE branch amplitudes (|alpha_0|, |alpha_1|).
+# Dirichlet-kernel entries evaluated at once by gpe_split; bounds its temporaries.
+_GPE_CHUNK = 1 << 16
 
-    Single-round phase estimation on eigenphase lam with grid spacing phi/8,
-    thresholded at 1.5 phi, majority-boosted over 2 ceil(3 ln(1/eps)) + 1
+
+def gpe_split(lam, phi: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact boosted GPE branch amplitudes (|alpha_0|, |alpha_1|) per eigenphase.
+
+    Single-round phase estimation on each eigenphase in lam with grid spacing
+    phi/8, thresholded at 1.5 phi, majority-boosted over 2 ceil(3 ln(1/eps)) + 1
     repetitions.  Guarantees |alpha_1| <= eps when |lam| <= phi and
-    |alpha_0| <= eps when 2 phi <= |lam| <= 1.
+    |alpha_0| <= eps when 2 phi <= |lam| <= 1.  Both outputs have lam's shape.
     """
     if not 0.0 < phi <= 0.25:
         raise PreconditionError(f"phi must lie in (0, 1/4], got {phi}")
+    lam = np.asarray(lam, dtype=float)
     t_steps = int(math.ceil(16.0 * math.pi / phi))
     if t_steps % 2 == 0:
         t_steps += 1
     n = (t_steps - 1) // 2
-    z = np.arange(-n, n + 1)
-    grid = 2.0 * math.pi * z / t_steps
-    amps = _dirichlet(n, lam - grid) / t_steps
-    p_large = float(np.sum(amps[np.abs(grid) >= 1.5 * phi] ** 2))
-    p_large = min(max(p_large, 0.0), 1.0)
+    grid = 2.0 * math.pi * np.arange(-n, n + 1) / t_steps
+    far = grid[np.abs(grid) >= 1.5 * phi]
+    flat = lam.reshape(-1)
+    p_large = np.empty(flat.size)
+    rows = max(1, _GPE_CHUNK // far.size)
+    for start in range(0, flat.size, rows):
+        amps = _dirichlet(n, flat[start:start + rows, None] - far) / t_steps
+        p_large[start:start + rows] = np.sum(amps**2, axis=1)
+    np.clip(p_large, 0.0, 1.0, out=p_large)
     reps = 2 * int(math.ceil(3.0 * math.log(1.0 / min(eps, 0.5)))) + 1
-    a1_sq = float(binom.sf((reps - 1) // 2, reps, p_large))
-    a1 = math.sqrt(min(max(a1_sq, 0.0), 1.0))
-    return math.sqrt(max(0.0, 1.0 - a1 * a1)), a1
+    a1 = np.sqrt(np.clip(binom.sf((reps - 1) // 2, reps, p_large), 0.0, 1.0))
+    a0 = np.sqrt(np.maximum(0.0, 1.0 - a1 * a1))
+    return a0.reshape(lam.shape), a1.reshape(lam.shape)
 
 
 # -- amplitude estimation -----------------------------------------------------

@@ -223,3 +223,59 @@ def test_network_task_is_effective_resistance():
     assert rep.estimate == est.value
     with pytest.raises(PreconditionError, match="needs distinct vertices"):
         run_experiment(ExperimentConfig(task="network", params=dict(params, t=0), seed=5))
+
+
+@pytest.mark.parametrize("mode", ["min", "p", "Frobenius", "p_norm"])
+def test_unknown_mu_mode_is_a_config_error(tmp_path, mode):
+    params = {"matrix": [[1.0, 0.0], [0.0, 0.5]], "mu_mode": mode}
+    with pytest.raises(ConfigError, match="mu_mode"):
+        run_experiment(ExperimentConfig(task="encode", params=params))
+    (tmp_path / "cfg.json").write_text(json.dumps({"task": "encode", "params": params}))
+    assert cli.main(["encode", "--config", str(tmp_path / "cfg.json")]) == 2
+
+
+def _cli_params(tmp_path, argv, config=None):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    return cli._config_from_args(cli.build_parser().parse_args(argv)).params
+
+
+_EDGES = [[0, 1, 1.0], [1, 2, 1.0], [2, 3, 1.0]]
+_H = [[1.0, 0.0], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "task,params",
+    [
+        ("network", {"edges": _EDGES, "s": 1, "t": 3, "route": "sparse"}),
+        ("hamsim", {"matrix": _H, "t": 0.25}),
+        ("sve", {"matrix": _H, "delta": 0.2}),
+        ("qls", {"matrix": _H, "b": [1.0, 0.0], "kappa": 2.0, "route": "naive"}),
+    ],
+)
+def test_cli_flag_defaults_leave_config_values(tmp_path, task, params):
+    got = _cli_params(tmp_path, [task], {"task": task, "params": params})
+    assert got == params
+    # a flag that is given still overrides the config
+    if task == "network":
+        assert _cli_params(tmp_path, [task, "-t", "2"], {"task": task, "params": params})["t"] == 2
+
+
+def test_cli_flags_only_runs_keep_their_params(tmp_path):
+    assert _cli_params(tmp_path, ["network", "--edges", "g.txt"]) == {
+        "edges": "g.txt", "s": 0, "t": 1, "route": "exact"}
+    assert _cli_params(tmp_path, ["hamsim", "--matrix", "h.mtx"]) == {"matrix": "h.mtx", "t": 1.0}
+    assert _cli_params(tmp_path, ["sve", "--matrix", "h.mtx"]) == {"matrix": "h.mtx", "delta": 0.05}
+    sve = _cli_params(tmp_path, ["sve", "--matrix", "h.mtx", "--resolution", "0.1"])
+    assert sve["delta"] == 0.1
+    assert _cli_params(tmp_path, ["qls", "--matrix", "h.mtx", "--b", "b.mtx", "--kappa", "2"]) == {
+        "matrix": "h.mtx", "b": "b.mtx", "kappa": 2.0, "route": "vtaa"}
+
+
+def test_cli_config_task_must_match_the_subcommand(tmp_path, capsys):
+    config = {"task": "network", "params": {"edges": _EDGES, "s": 0, "t": 2}}
+    with pytest.raises(ConfigError, match="does not match"):
+        _cli_params(tmp_path, ["qls"], config)
+    assert cli.main(["qls", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "does not match the subcommand" in capsys.readouterr().err

@@ -118,12 +118,13 @@ def test_qls_stage_locality():
 
 
 def test_qls_splits_each_running_branch_once(monkeypatch):
-    # gapped phase estimation is evaluated once per (stage, label) pair still running
+    # gapped phase estimation is evaluated in one call per stage, over the
+    # labels still running there, and never for a stage with nothing running
     calls = []
     split = sv.gpe_split
 
     def counted(lam, phi, eps):
-        calls.append((lam, phi))
+        calls.append((np.array(lam, dtype=float), phi))
         return split(lam, phi, eps)
 
     monkeypatch.setattr(sv, "gpe_split", counted)
@@ -133,8 +134,13 @@ def test_qls_splits_each_running_branch_once(monkeypatch):
     cont = res.vtaa.vsta.cont
     running = np.vstack([np.ones((1, cont.shape[1]), bool),
                          np.cumprod(cont[:-1] > 0, axis=0).astype(bool)])
-    assert len(calls) == int(running.sum())
-    assert len(set(calls)) == len(calls)
+    phis = [phi for _, phi in calls]
+    assert len(set(phis)) == len(phis)  # at most one call per stage
+    assert not running.any(axis=1).all()  # some stage runs nothing, and is not called
+    assert [lam.size for lam, _ in calls] == [int(r) for r in running.sum(axis=1) if r]
+    assert sum(lam.size for lam, _ in calls) == int(running.sum())
+    pairs = [(float(lam), phi) for lams, phi in calls for lam in lams]
+    assert len(set(pairs)) == len(pairs)
     assert running.sum() < running.size  # some branch stops before the last stage
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.stats import binom
 
 from blockenc import vtime as vt
 from blockenc.encoding import encode
@@ -172,6 +173,56 @@ def test_gpe_transform_on_unitary():
     assert splits[0.3][0] <= 1e-3
     with pytest.raises(PreconditionError):
         vt.gpe_split(0.05, 0.3, 1e-3)
+
+
+def _scalar_gpe_split(lam: float, phi: float, eps: float) -> tuple[float, float]:
+    # the one-eigenphase form of gpe_split, kept as its bit-for-bit reference
+    t_steps = int(math.ceil(16.0 * math.pi / phi))
+    if t_steps % 2 == 0:
+        t_steps += 1
+    n = (t_steps - 1) // 2
+    grid = 2.0 * math.pi * np.arange(-n, n + 1) / t_steps
+    amps = vt._dirichlet(n, lam - grid) / t_steps
+    p_large = float(np.sum(amps[np.abs(grid) >= 1.5 * phi] ** 2))
+    p_large = min(max(p_large, 0.0), 1.0)
+    reps = 2 * int(math.ceil(3.0 * math.log(1.0 / min(eps, 0.5)))) + 1
+    a1_sq = float(binom.sf((reps - 1) // 2, reps, p_large))
+    a1 = math.sqrt(min(max(a1_sq, 0.0), 1.0))
+    return math.sqrt(max(0.0, 1.0 - a1 * a1)), a1
+
+
+def _assert_matches_scalar(lam: np.ndarray, phi: float, eps: float) -> None:
+    a0, a1 = vt.gpe_split(lam, phi, eps)
+    assert a0.shape == a1.shape == lam.shape
+    want = np.array([_scalar_gpe_split(float(x), phi, eps) for x in lam.ravel()])
+    assert np.array_equal(a0.ravel(), want[:, 0])
+    assert np.array_equal(a1.ravel(), want[:, 1])
+
+
+def test_gpe_split_array_equals_scalar_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for k in range(3, 9):
+        phi = 2.0**-k
+        edges = [0.0, 1e-17, -1e-17, phi, -phi, 1.5 * phi, -1.5 * phi, 2 * phi, -2 * phi,
+                 1.0, -1.0]
+        near = rng.normal(0.0, phi / 4, 12) + np.repeat([phi, -phi], 6)
+        lam = np.concatenate([edges, rng.uniform(-1.0, 1.0, 16), near])
+        for eps in (1e-2, 1e-3, 1e-9):
+            _assert_matches_scalar(lam, phi, eps)
+    # a 0-d eigenphase gives 0-d amplitudes, and a 2-D array keeps its shape
+    a0, a1 = vt.gpe_split(0.3, 0.1, 1e-3)
+    assert a0.shape == a1.shape == ()
+    assert (float(a0), float(a1)) == _scalar_gpe_split(0.3, 0.1, 1e-3)
+    _assert_matches_scalar(rng.uniform(-1.0, 1.0, (3, 4)), 2.0**-5, 1e-3)
+
+
+def test_gpe_split_crosses_chunk_boundaries_bit_for_bit():
+    phi = 2.0**-3
+    t_steps = int(math.ceil(16.0 * math.pi / phi)) | 1
+    grid = 2.0 * math.pi * np.arange(-(t_steps // 2), t_steps // 2 + 1) / t_steps
+    rows = vt._GPE_CHUNK // int(np.sum(np.abs(grid) >= 1.5 * phi))
+    lam = np.random.default_rng(7).uniform(-1.0, 1.0, 2 * rows + 3)
+    _assert_matches_scalar(lam, phi, 1e-3)
 
 
 def test_amplitude_estimate_zero():
