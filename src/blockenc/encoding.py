@@ -15,13 +15,17 @@ empty, so the padding of a KP block is exact zeros.
 
 Encodings may carry a claimed target matrix; verification mode measures the
 block-extraction error against it.  All values are immutable after
-construction.
+construction.  The eigendecomposition of the symmetrized applied block is
+computed at most once per encoding (`BlockEncoding.eigh`); the explicit-alpha
+check of `encode`, the spectrum checks, the block functions of `hamsim` and
+the variable-time solvers all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -36,6 +40,7 @@ from .linalg import (
     as_state,
     complement_matrix,
     embed,
+    hermitianize,
     spectral_norm,
     unitary_dilation,
 )
@@ -50,6 +55,9 @@ class BlockEncoding:
     `corner` is the block (<0|^a x I) U (|0>^a x I), a system_dim x system_dim
     array.  `ancillas` sizes the simulated register system_dim * 2^ancillas,
     which the capacity cap bounds even though no array of that size exists.
+    The spectrum of the symmetrized applied block is decomposed on the first
+    `eigh()` call and cached; `replace`, `rescaled` and `compact` build new
+    encodings, so a cached spectrum never outlives its block.
     """
 
     corner: np.ndarray
@@ -89,6 +97,17 @@ class BlockEncoding:
         """alpha * block: the matrix this encoding effectively stands for."""
         return self.alpha * self.block()
 
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (w, V) with hermitianize(applied()) = V diag(w) V^dagger."""
+        return self._spectrum
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = np.linalg.eigh(hermitianize(self.applied()))
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return w, v
+
     def measured_error(self) -> float:
         """||target - alpha * block||; requires an attached target."""
         if self.target is None:
@@ -111,12 +130,17 @@ def encode(a, alpha: float | None = None, oracle: str = "dense") -> BlockEncodin
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError("encode expects a square matrix; embed rectangular inputs first")
-    nrm = spectral_norm(m)
-    if alpha is None:
-        alpha = max(nrm, 1e-300)
-    if alpha < nrm - 1e-12:
-        raise NormError(f"alpha = {alpha} is smaller than ||A|| = {nrm}")
-    return BlockEncoding(
+    # a stated alpha > 0 on an exactly Hermitian input is checked against
+    # max |w| of the encoding's own spectrum, which the functional calculus
+    # and the solvers read anyway; any other input takes ||A|| from an SVD
+    from_spectrum = alpha is not None and alpha > 0 and not np.any(m != m.conj().T)
+    if not from_spectrum:
+        nrm = spectral_norm(m)
+        if alpha is None:
+            alpha = max(nrm, 1e-300)
+        if alpha < nrm - 1e-12:
+            raise NormError(f"alpha = {alpha} is smaller than ||A|| = {nrm}")
+    enc = BlockEncoding(
         corner=m / alpha,
         alpha=float(alpha),
         ancillas=1,
@@ -125,6 +149,11 @@ def encode(a, alpha: float | None = None, oracle: str = "dense") -> BlockEncodin
         ledger=CostLedger.single(oracle),
         target=m,
     )
+    if from_spectrum:
+        nrm = float(np.max(np.abs(enc.eigh()[0])))
+        if alpha < nrm - 1e-12:
+            raise NormError(f"alpha = {alpha} is smaller than ||A|| = {nrm}")
+    return enc
 
 
 def product(u: BlockEncoding, v: BlockEncoding) -> BlockEncoding:

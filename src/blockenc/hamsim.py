@@ -1,10 +1,13 @@
 """Hamiltonian simulation of block-encoded matrices and smooth matrix functions.
 
-e^{itH}, H^{-c}, H^c and truncated-series functions f(H) are all computed
-by `linalg.hermitian_function` on the symmetrized extracted block (and on
-the claimed target, when one is attached), which is exact at desk scale,
-while the ledger charges the analytic costs of the corresponding circuit
-constructions (controlled simulation, the sign-split power circuits).
+e^{itH}, H^{-c}, H^c and truncated-series functions f(H) are all functions
+of one spectrum: each is `linalg.spectral_function` on the eigendecomposition
+of the symmetrized applied block that the encoding caches (`u.eigh()`),
+which the spectrum checks read too, so a block is decomposed at most once.
+The claimed target, when one is attached, goes through
+`linalg.hermitian_function`.  Both are exact at desk scale, while the ledger
+charges the analytic costs of the corresponding circuit constructions
+(controlled simulation, the sign-split power circuits).
 Matrix powers additionally have a truncated-Taylor "series" path so the two
 routes can be compared.  The inversion patch W(lam, eps) of the
 variable-time solvers enters only through its per-eigenbranch amplitude,
@@ -20,13 +23,9 @@ import numpy as np
 
 from .encoding import BlockEncoding
 from .errors import NormError, PreconditionError, SpectrumError
-from .linalg import CONSTRUCTION_TOL, hermitian_function, hermitianize
+from .linalg import CONSTRUCTION_TOL, hermitian_function, spectral_function
 
 _SPECTRUM_SLACK = 1e-9
-
-
-def _sym_block(u: BlockEncoding) -> np.ndarray:
-    return hermitianize(u.applied())
 
 
 def _log2(x: float) -> float:
@@ -43,7 +42,7 @@ def block_ham_sim(u: BlockEncoding, t: float, eps: float) -> BlockEncoding:
     def f(w):
         return np.exp(1j * t * w)
 
-    func = hermitian_function(u.applied(), f)
+    func = spectral_function(*u.eigh(), f)
     rounds = abs(u.alpha * t) + _log2(1.0 / eps) if eps > 0 else abs(u.alpha * t) + 1.0
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
@@ -173,8 +172,7 @@ def smooth_function(
     """
     if not 0.0 < eps_prime <= 0.5:
         raise PreconditionError(f"eps_prime must lie in (0, 1/2], got {eps_prime}")
-    h = _sym_block(u)
-    w, v = np.linalg.eigh(h)
+    w, v = u.eigh()
     slack = u.epsilon + _SPECTRUM_SLACK
     if np.any(np.abs(w - series.center) > series.radius + slack):
         raise SpectrumError(
@@ -188,8 +186,7 @@ def smooth_function(
             )
         degree = len(series.coeffs) - 1  # finite series: the discarded tail is exactly zero
     b = series.envelope
-    func = (v * series.evaluate(w, degree)) @ v.conj().T
-    block = func / b
+    block = spectral_function(w, v, lambda x: series.evaluate(x, degree)) / b
     # one controlled (M, gamma)-simulation with M ~ r log(1/eps')/delta, gamma ~ 1/r
     m_sim = series.radius * _log2(1.0 / eps_prime) / series.delta
     sim_rounds = u.alpha * m_sim / max(series.radius, 1e-300) + _log2(m_sim) * _log2(
@@ -215,7 +212,7 @@ def smooth_function(
 
 def _check_positive_spectrum(u: BlockEncoding, kappa: float, allow_negative: bool) -> np.ndarray:
     """Eigenvalues of the symmetrized block, checked to lie (in modulus) in [1/kappa, 1]."""
-    w = np.linalg.eigvalsh(_sym_block(u))
+    w = u.eigh()[0]
     slack = u.epsilon + _SPECTRUM_SLACK
     vals = np.abs(w) if allow_negative else w
     if np.any(vals < 1.0 / kappa - slack) or np.any(vals > 1.0 + slack):
@@ -263,7 +260,7 @@ def negative_power(
     def f(w):
         return np.sign(w) * np.abs(w) ** (-c)
 
-    block = hermitian_function(u.applied(), f) / alpha_out
+    block = spectral_function(*u.eigh(), f) / alpha_out
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(
         corner=block,
@@ -296,7 +293,7 @@ def positive_power(
     def f(w):
         return np.maximum(w, 0.0) ** c
 
-    block = hermitian_function(u.applied(), f) / 2.0
+    block = spectral_function(*u.eigh(), f) / 2.0
     rounds = u.alpha * kappa * _log2(kappa / eps)
     target = None if u.target is None else hermitian_function(u.target, f)
     return BlockEncoding(

@@ -187,9 +187,10 @@ def _task_encode(p, eps, rng):
 def _task_hamsim(p, eps, rng):
     h = _load_matrix(p["matrix"])
     t = float(p["t"])
-    enc = encode(hermitianize(h))
+    hbar = hermitianize(h)
+    enc = encode(hbar)
     sim = block_ham_sim(enc, t, eps)
-    oracle = scipy.linalg.expm(1j * t * hermitianize(h))
+    oracle = scipy.linalg.expm(1j * t * hbar)
     err = spectral_norm(sim.applied() - oracle)
     return err, 0.0, None, sim.ledger.to_dict()
 
@@ -208,12 +209,13 @@ def _task_qls(p, eps, rng):
     h = _load_matrix(p["matrix"])
     b = _load_vector(p["b"])
     kappa = float(p["kappa"])
-    enc = encode(hermitianize(h), alpha=max(1.0, spectral_norm(h)))
+    hbar = hermitianize(h)
+    enc = encode(hbar, alpha=max(1.0, spectral_norm(h)))
     if p.get("route") == "naive":
         res = naive_solve(enc, normalize(b), kappa, eps)
     else:
         res = qls_solve(enc, normalize(b), kappa=kappa, eps=eps)
-    exact = normalize(np.linalg.solve(hermitianize(h), b))
+    exact = normalize(np.linalg.solve(hbar, b))
     fid = float(abs(np.vdot(res.state, exact)))
     return fid, 1.0, fid, res.ledger.to_dict()
 

@@ -63,6 +63,11 @@ def hermitian_function(a: np.ndarray, f) -> np.ndarray:
     cast, so a real symmetric `a` with a real-valued `f` gives a real result.
     """
     w, v = np.linalg.eigh(hermitianize(a))
+    return spectral_function(w, v, f)
+
+
+def spectral_function(w: np.ndarray, v: np.ndarray, f) -> np.ndarray:
+    """f(H) = V f(w) V^dagger from an eigendecomposition H = V diag(w) V^dagger."""
     return (v * f(w)) @ v.conj().T
 
 

@@ -152,7 +152,7 @@ def _network_encoding(network: ElectricalNetwork, route: str, p: float | None):
     c = network.weighted_incidence()
     cbar = complement_matrix(c)
     if route == "exact":
-        return encode(cbar, alpha=spectral_norm(cbar))
+        return encode(cbar)
     if route == "kp":
         return from_kp(c, p)
     if route == "sparse":

@@ -64,20 +64,22 @@ class RegressionProblem:
         if self.weights is not None and np.any(self.weights < 1.0 - 1e-12):
             raise PreconditionError("weights must satisfy w_i >= 1")
         if self.omega is not None:
-            if spectral_norm(self.omega) > 1.0 + 1e-9:
-                raise NormError("||Omega|| must be at most 1")
             eigs = np.linalg.eigvalsh((self.omega + self.omega.T) / 2.0)
+            # ||Omega|| <= ||sym|| + ||skew|| <= max |eig| + ||skew||_F: never
+            # looser than the SVD norm, and equal to it for a symmetric Omega
+            skew = np.linalg.norm((self.omega - self.omega.T) / 2.0)
+            if np.max(np.abs(eigs)) + skew > 1.0 + 1e-9:
+                raise NormError("||Omega|| must be at most 1")
             if eigs.min() <= 0:
                 raise PreconditionError("Omega must be positive definite")
             if eigs.min() < 1.0 / self.kappa_omega - 1e-9:
                 raise PreconditionError("Omega violates the stated kappa_omega")
-        a = self.design_matrix()
-        if spectral_norm(a) > 1.0 + 1e-9:
+        sing = self._design_svd[1]
+        if sing[0] > 1.0 + 1e-9:
             raise NormError("||A|| = ||sqrt(W) X|| (resp. Omega^{-1/2} X) must be <= 1")
-        sigma_min = np.linalg.svd(a, compute_uv=False).min()
-        if sigma_min < 1.0 / self.kappa_a - 1e-9:
+        if sing.min() < 1.0 / self.kappa_a - 1e-9:
             raise PreconditionError("design matrix violates the stated kappa_a")
-        if residual_stats(self) > self.eta + 1e-9:
+        if self.residual > self.eta + 1e-9:
             raise PreconditionError("measured residual exceeds the stated eta")
 
     @cached_property
@@ -86,6 +88,19 @@ class RegressionProblem:
         m = _inv_sqrt(self.omega)
         m.flags.writeable = False
         return m
+
+    @cached_property
+    def _design_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """Left singular vectors and singular values of A, from its one SVD."""
+        u, s, _ = np.linalg.svd(self.design_matrix(), full_matrices=False)
+        return u, s
+
+    @cached_property
+    def residual(self) -> float:
+        """Normalized sum of squared residuals: 1 - ||Pi_col(A) |b>||^2."""
+        u, s = self._design_svd
+        cols = u[:, s > 1e-12]
+        return float(max(0.0, 1.0 - np.linalg.norm(cols.conj().T @ self.target_state()) ** 2))
 
     def design_matrix(self) -> np.ndarray:
         if self.weights is not None:
@@ -124,15 +139,6 @@ class RegressionProblem:
 
 def _inv_sqrt(omega: np.ndarray) -> np.ndarray:
     return hermitian_function(omega, lambda w: 1.0 / np.sqrt(np.maximum(w, 1e-300)))
-
-
-def residual_stats(problem: RegressionProblem) -> float:
-    """Normalized sum of squared residuals: 1 - ||Pi_col(A) |b>||^2."""
-    a = problem.design_matrix()
-    b = problem.target_state()
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cols = u[:, s > 1e-12]
-    return float(max(0.0, 1.0 - np.linalg.norm(cols.conj().T @ b) ** 2))
 
 
 def classical_beta(problem: RegressionProblem) -> np.ndarray:
@@ -192,7 +198,7 @@ def wls_solve(
     """
     if problem.weights is None:
         raise PreconditionError("wls_solve needs a weighted problem")
-    if residual_stats(problem) > problem.eta:
+    if problem.residual > problem.eta:
         raise PreconditionError("residual bound violated")
     a = problem.design_matrix()
     m_rows, n_cols = a.shape

@@ -22,7 +22,7 @@ from .encoding import BlockEncoding, apply_to_state
 from .errors import OverlapError, PreconditionError, SpectrumError
 from .hamsim import inversion_patch_amplitude, negative_power
 from .ledger import CostLedger
-from .linalg import hermitianize, normalize
+from .linalg import normalize
 from .vtime import (
     VSTA,
     MindfulResult,
@@ -240,7 +240,7 @@ def _build_power_vsta(u: BlockEncoding, psi, cfg: QLSConfig, t_psi: float):
     every earlier stage); the later entries of a stopped branch stay zero, as
     nothing of it runs, and a stage with nothing running is skipped.
     """
-    w, v = np.linalg.eigh(hermitianize(u.applied()))
+    w, v = u.eigh()
     coeffs = v.conj().T @ normalize(np.asarray(psi, dtype=complex))
     _check_spectrum(w, coeffs, cfg.kappa, cfg.gamma_lower, slack=u.epsilon + 1e-9)
     live = np.abs(coeffs) > 1e-14

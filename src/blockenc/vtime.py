@@ -54,8 +54,11 @@ def _dirichlet(n: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     den = np.sin(x / 2.0)
     tiny = np.abs(den) < 1e-14
+    den[tiny] = 1.0
     num = np.sin((n + 0.5) * x)
-    return np.where(tiny, 2.0 * n + 1.0, num / np.where(tiny, 1.0, den))
+    num /= den
+    num[tiny] = 2.0 * n + 1.0
+    return num
 
 
 # Dirichlet-kernel entries evaluated at once by gpe_split; bounds its temporaries.

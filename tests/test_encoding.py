@@ -18,7 +18,9 @@ from blockenc.errors import (
     PreconditionError,
     SparsityError,
 )
+from blockenc.fixtures import random_hermitian_spectrum, random_state
 from blockenc.linalg import complement_matrix, embed, is_unitary, spectral_norm
+from blockenc.solvers import qls_solve
 
 
 def noisy_encoding(a, alpha, eps, rng):
@@ -43,6 +45,17 @@ def test_exact_encode_examples():
 def test_exact_encode_alpha_too_small():
     with pytest.raises(NormError):
         be.encode(np.eye(2), alpha=0.5)
+    # the Hermitian check reads max |w|, so a negative eigenvalue counts too
+    with pytest.raises(NormError):
+        be.encode(np.diag([-1.0, 0.5]), alpha=0.75)
+    assert be.encode(np.diag([-1.0, 0.5]), alpha=1.0).alpha == 1.0
+
+
+def test_exact_encode_alpha_too_small_non_hermitian(monkeypatch):
+    norms = _count_calls(monkeypatch, linalg, "spectral_norm")
+    with pytest.raises(NormError):
+        be.encode(np.array([[0.0, 1.0], [0.0, 0.0]]), alpha=0.5)
+    assert len(norms) == 1  # a non-Hermitian input keeps the SVD check
 
 
 def test_product_exact():
@@ -474,3 +487,40 @@ def test_composition_chain_dilates_nothing(monkeypatch):
     out = hamsim.negative_power(chain, 0.5, 32.0, 1e-3)
     assert out.verify()
     assert not dilation
+
+
+def test_encode_and_qls_solve_decompose_once(monkeypatch):
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    eigvalsh = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    svd = _count_calls(monkeypatch, np.linalg, "svd")
+    norms = _count_calls(monkeypatch, linalg, "spectral_norm")
+    rng = np.random.default_rng(18)
+    h = linalg.hermitianize(random_hermitian_spectrum(rng, 16, 8.0, signed=True))
+    enc = be.encode(h, alpha=1.0)
+    assert (len(eigh), len(svd), len(norms)) == (1, 0, 0)
+    b = random_state(rng, 16)
+    res = qls_solve(enc, b, kappa=8.0, eps=1e-3)
+    assert len(eigh) == 1 and not eigvalsh
+    exact = linalg.normalize(np.linalg.solve(h, b))
+    assert abs(np.vdot(res.state, exact)) >= 1.0 - 1e-3
+
+
+def test_eigh_is_cached_read_only_and_not_carried_over(monkeypatch):
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    rng = np.random.default_rng(19)
+    u = be.encode(linalg.hermitianize(rng.normal(size=(5, 5))))
+    w, v = u.eigh()
+    assert u.eigh()[0] is w and len(eigh) == 1
+    assert not w.flags.writeable and not v.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    half = u.rescaled(2.0)
+    assert np.allclose(half.eigh()[0], w / 2.0, rtol=0.0, atol=1e-15)
+    assert half.eigh()[0] is not w and len(eigh) == 2
+    for other in (be.compact(u), replace(u, target=None)):
+        assert np.array_equal(other.eigh()[0], w) and other.eigh()[0] is not w
+    assert len(eigh) == 4
+    # a non-Hermitian block is decomposed through its Hermitian part
+    skew = be.encode(rng.normal(size=(5, 5)))
+    w_ref, v_ref = np.linalg.eigh(linalg.hermitianize(skew.applied()))
+    assert np.array_equal(skew.eigh()[0], w_ref) and np.array_equal(skew.eigh()[1], v_ref)

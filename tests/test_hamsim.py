@@ -8,6 +8,7 @@ import scipy.linalg
 from blockenc import encoding as be
 from blockenc import hamsim as hs
 from blockenc.errors import NormError, PreconditionError, SpectrumError
+from blockenc.fixtures import random_hermitian_spectrum
 from blockenc.linalg import is_unitary, spectral_norm
 
 
@@ -203,3 +204,53 @@ def test_positive_power_block_norm_checked():
                   target=np.diag([5.0, 2.5]), epsilon=5.0)
     with pytest.raises(NormError):
         hs.positive_power(enc, 1.0, 4.0, 1e-3)
+
+
+def _old_hermitian_function(a, f):
+    """The block formula before the spectrum was cached: eigh of the Hermitian part of a."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    return (v * f(w)) @ v.conj().T
+
+
+def _positive_encoding(seed, kappa=4.0, dim=8):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian_spectrum(rng, dim, kappa)
+    return be.encode((h + h.T) / 2)
+
+
+def test_block_functions_bit_for_bit_against_the_block_eigh():
+    kappa, eps = 4.0, 1e-3
+    u = _positive_encoding(20, kappa)
+    a = u.applied()
+    sim = hs.block_ham_sim(u, 0.7, eps)
+    assert np.array_equal(sim.block(), _old_hermitian_function(a, lambda w: np.exp(0.7j * w)))
+    neg = hs.negative_power(u, 0.5, kappa, eps)
+    old = _old_hermitian_function(a, lambda w: np.sign(w) * np.abs(w) ** -0.5)
+    assert np.array_equal(neg.block(), old / neg.alpha)
+    pos = hs.positive_power(u, 0.5, kappa, eps)
+    old = _old_hermitian_function(a, lambda w: np.maximum(w, 0.0) ** 0.5)
+    assert np.array_equal(pos.block(), old / 2.0)
+    series = hs.negative_power_series(0.5, kappa, eps)
+    smooth = hs.smooth_function(u, series, eps)
+    degree = series.truncation_degree(eps)
+    old = _old_hermitian_function(a, lambda x: series.evaluate(x, degree)) / series.envelope
+    assert np.array_equal(smooth.block(), old)
+
+
+def test_negative_power_decomposes_the_block_once(monkeypatch):
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    # without a claimed target, every decomposition is one of the block
+    u = replace(_positive_encoding(21), target=None)
+    hs.negative_power(u, 1.0, 4.0, 1e-3)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    hs.negative_power(u, 1.0, 4.0, 1e-3, path="series")
+    hs.positive_power(u, 0.5, 4.0, 1e-3, path="series")
+    assert calls == {"eigh": 1, "eigvalsh": 0}

@@ -20,14 +20,14 @@ def test_gls_problem_decomposes_omega_once(monkeypatch):
     monkeypatch.setattr(rg, "_inv_sqrt", lambda omega: calls.append(1) or inv_sqrt(omega))
     prob = random_gls_problem(np.random.default_rng(0), 64, 8)
     assert len(calls) == 1
-    prob.design_matrix(), prob.target_state(), rg.residual_stats(prob)
+    prob.design_matrix(), prob.target_state(), prob.residual
     assert len(calls) == 1
     assert np.array_equal(prob.omega_inv_sqrt, inv_sqrt(prob.omega))
     assert not prob.omega_inv_sqrt.flags.writeable
 
 
 def test_residual_exact_fit():
-    assert rg.residual_stats(line_problem()) == pytest.approx(0.0, abs=1e-12)
+    assert line_problem().residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residual_orthogonal():
@@ -35,7 +35,7 @@ def test_residual_orthogonal():
         x=np.array([[0.5], [0.5]]), y=np.array([1.0, -1.0]),
         weights=np.ones(2), kappa_a=2.0, eta=1.0,
     )
-    assert rg.residual_stats(prob) == pytest.approx(1.0)
+    assert prob.residual == pytest.approx(1.0)
 
 
 def test_residual_half():
@@ -44,7 +44,7 @@ def test_residual_half():
         x=np.array([[0.5], [0.5]]), y=np.array([1.0, 0.0]),
         weights=np.ones(2), kappa_a=2.0, eta=0.6,
     )
-    assert rg.residual_stats(prob) == pytest.approx(0.5)
+    assert prob.residual == pytest.approx(0.5)
 
 
 def test_problem_validation():
@@ -170,7 +170,7 @@ def test_gamma_feeding_invariant():
     rng = np.random.default_rng(6)
     for _ in range(5):
         prob = random_wls_problem(rng, 6, 3)
-        overlap_sq = 1.0 - rg.residual_stats(prob)
+        overlap_sq = 1.0 - prob.residual
         assert overlap_sq >= 1.0 - prob.eta - 1e-9
 
 
@@ -206,3 +206,28 @@ def test_gls_every_route_accepts_every_fixture():
             res = rg.gls_solve(prob, route=route, eps=eps)
             assert abs(np.vdot(res.state, ref)) >= 1 - eps, (seed, route)
     assert 33 in below_two
+
+
+def test_problem_validates_from_one_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    norms = []
+    spectral_norm = rg.spectral_norm
+    monkeypatch.setattr(rg, "spectral_norm", lambda a: norms.append(1) or spectral_norm(a))
+    rng = np.random.default_rng(8)
+    for fixture in (random_wls_problem, random_gls_problem):
+        p = fixture(rng, 6, 3)
+        calls.clear()
+        prob = rg.RegressionProblem(x=p.x, y=p.y, weights=p.weights, omega=p.omega,
+                                    kappa_a=p.kappa_a, kappa_omega=p.kappa_omega, eta=p.eta)
+        assert prob.residual == p.residual
+        assert len(calls) == 1 and not norms
+
+
+def test_non_symmetric_omega_norm_still_checked():
+    # the symmetric part is 0.6 I, but ||Omega|| = sqrt(0.6^2 + 0.9^2) > 1
+    omega = np.array([[0.6, 0.9], [-0.9, 0.6]])
+    with pytest.raises(NormError):
+        rg.RegressionProblem(x=np.array([[0.5], [0.5]]), y=np.array([1.0, 0.0]),
+                             omega=omega, kappa_a=2.0, kappa_omega=2.0, eta=0.9)
