@@ -1,13 +1,15 @@
 """Hamiltonian simulation of block-encoded matrices and smooth matrix functions.
 
 e^{itH}, H^{-c}, H^c and truncated-series functions f(H) are all functions
-of one spectrum: each is `linalg.spectral_function` on the eigendecomposition
-of the symmetrized applied block that the encoding caches (`u.eigh()`),
-which the spectrum checks read too, so a block is decomposed at most once.
-The claimed target, when one is attached, goes through
+of one spectrum, and one constructor, `_block_function`, builds every one of
+them: `linalg.spectral_function` on the eigendecomposition of the
+symmetrized applied block that the encoding caches (`u.eigh()`), which the
+spectrum checks read too, so a block is decomposed at most once.  The
+claimed target, when one is attached, goes through
 `linalg.hermitian_function`.  Both are exact at desk scale, while the ledger
 charges the analytic costs of the corresponding circuit constructions
-(controlled simulation, the sign-split power circuits).
+(controlled simulation, the sign-split power circuits), which each public
+function supplies as its rounds and gates.
 Matrix powers additionally have a truncated-Taylor "series" path so the two
 routes can be compared.  The inversion patch W(lam, eps) of the
 variable-time solvers enters only through its per-eigenbranch amplitude,
@@ -32,27 +34,41 @@ def _log2(x: float) -> float:
     return math.log2(max(x, 2.0))
 
 
+def _block_function(
+    u: BlockEncoding, f, alpha: float, eps: float, rounds: float, gates: float, exact=None
+) -> BlockEncoding:
+    """(alpha, a+2, eps)-encoding of f(H) from the cached spectrum of u.
+
+    The block is `spectral_function(*u.eigh(), f) / alpha`; the claimed
+    target, when u carries one, is `hermitian_function(u.target, exact)`
+    (`exact` defaults to f); the ledger is u's, scaled by max(rounds, 1),
+    plus `gates`.
+    """
+    target = None
+    if u.target is not None:
+        target = hermitian_function(u.target, f if exact is None else exact)
+    return BlockEncoding(
+        corner=spectral_function(*u.eigh(), f) / alpha,
+        alpha=alpha,
+        ancillas=u.ancillas + 2,
+        epsilon=float(eps),
+        system_dim=u.system_dim,
+        ledger=u.ledger.scaled(max(rounds, 1.0)).with_gates(gates),
+        target=target,
+    )
+
+
 def block_ham_sim(u: BlockEncoding, t: float, eps: float) -> BlockEncoding:
     """(1, a+2, eps)-encoding of e^{itH} from an (alpha, a, eps/|2t|)-encoding of H."""
     if t != 0.0 and u.epsilon > eps / abs(2.0 * t) + 1e-15:
         raise PreconditionError(
             f"input encoding error {u.epsilon} exceeds eps/|2t| = {eps / abs(2 * t)}"
         )
-
-    def f(w):
-        return np.exp(1j * t * w)
-
-    func = spectral_function(*u.eigh(), f)
+    # rounds >= 1 on both branches (_log2 is at least 1), so the constructor's
+    # max(rounds, 1) leaves it unchanged
     rounds = abs(u.alpha * t) + _log2(1.0 / eps) if eps > 0 else abs(u.alpha * t) + 1.0
-    target = None if u.target is None else hermitian_function(u.target, f)
-    return BlockEncoding(
-        corner=func,
-        alpha=1.0,
-        ancillas=u.ancillas + 2,
-        epsilon=float(eps),
-        system_dim=u.system_dim,
-        ledger=u.ledger.scaled(rounds).with_gates(u.ancillas * rounds),
-        target=target,
+    return _block_function(
+        u, lambda w: np.exp(1j * t * w), 1.0, eps, rounds, u.ancillas * rounds
     )
 
 
@@ -172,7 +188,7 @@ def smooth_function(
     """
     if not 0.0 < eps_prime <= 0.5:
         raise PreconditionError(f"eps_prime must lie in (0, 1/2], got {eps_prime}")
-    w, v = u.eigh()
+    w = u.eigh()[0]
     slack = u.epsilon + _SPECTRUM_SLACK
     if np.any(np.abs(w - series.center) > series.radius + slack):
         raise SpectrumError(
@@ -185,8 +201,6 @@ def smooth_function(
                 f"series holds {len(series.coeffs)} coefficients but degree {degree} is needed"
             )
         degree = len(series.coeffs) - 1  # finite series: the discarded tail is exactly zero
-    b = series.envelope
-    block = spectral_function(w, v, lambda x: series.evaluate(x, degree)) / b
     # one controlled (M, gamma)-simulation with M ~ r log(1/eps')/delta, gamma ~ 1/r
     m_sim = series.radius * _log2(1.0 / eps_prime) / series.delta
     sim_rounds = u.alpha * m_sim / max(series.radius, 1e-300) + _log2(m_sim) * _log2(
@@ -195,18 +209,10 @@ def smooth_function(
     gates = (series.radius / series.delta) * _log2(
         series.radius / (series.delta * eps_prime)
     ) * _log2(1.0 / eps_prime)
-    target = None
-    if u.target is not None:
-        f = exact_f if exact_f is not None else (lambda x: series.evaluate(x, degree))
-        target = hermitian_function(u.target, f)
-    return BlockEncoding(
-        corner=block,
-        alpha=b,
-        ancillas=u.ancillas + 2,
-        epsilon=b * eps_prime,
-        system_dim=u.system_dim,
-        ledger=u.ledger.scaled(max(sim_rounds, 1.0)).with_gates(gates),
-        target=target,
+    b = series.envelope
+    return _block_function(
+        u, lambda x: series.evaluate(x, degree), b, b * eps_prime, sim_rounds, gates,
+        exact=exact_f,
     )
 
 
@@ -251,25 +257,13 @@ def negative_power(
     if path == "series":
         _check_positive_spectrum(u, kappa, allow_negative=False)
         series = negative_power_series(c, kappa, eps / alpha_out)
-        out = smooth_function(u, series, eps / alpha_out, exact_f=lambda x: x ** (-c))
-        return out
+        return smooth_function(u, series, eps / alpha_out, exact_f=lambda x: x ** (-c))
     if path != "spectral":
         raise ValueError(f"unknown path {path!r}")
     _check_positive_spectrum(u, kappa, allow_negative=True)
-
-    def f(w):
-        return np.sign(w) * np.abs(w) ** (-c)
-
-    block = spectral_function(*u.eigh(), f) / alpha_out
-    target = None if u.target is None else hermitian_function(u.target, f)
-    return BlockEncoding(
-        corner=block,
-        alpha=alpha_out,
-        ancillas=u.ancillas + 2,
-        epsilon=float(eps),
-        system_dim=u.system_dim,
-        ledger=u.ledger.scaled(max(rounds, 1.0)).with_gates(u.ancillas * rounds),
-        target=target,
+    return _block_function(
+        u, lambda w: np.sign(w) * np.abs(w) ** (-c), alpha_out, eps, rounds,
+        u.ancillas * rounds,
     )
 
 
@@ -289,21 +283,9 @@ def positive_power(
         raise ValueError(f"unknown path {path!r}")
     if np.max(w) ** c / 2.0 > 1.0 + CONSTRUCTION_TOL:
         raise NormError(f"||H^c|| / 2 = {np.max(w) ** c / 2.0} exceeds 1")
-
-    def f(w):
-        return np.maximum(w, 0.0) ** c
-
-    block = spectral_function(*u.eigh(), f) / 2.0
     rounds = u.alpha * kappa * _log2(kappa / eps)
-    target = None if u.target is None else hermitian_function(u.target, f)
-    return BlockEncoding(
-        corner=block,
-        alpha=2.0,
-        ancillas=u.ancillas + 2,
-        epsilon=float(eps),
-        system_dim=u.system_dim,
-        ledger=u.ledger.scaled(max(rounds, 1.0)).with_gates(u.ancillas * rounds),
-        target=target,
+    return _block_function(
+        u, lambda w: np.maximum(w, 0.0) ** c, 2.0, eps, rounds, u.ancillas * rounds
     )
 
 

@@ -166,7 +166,6 @@ def _network_encoding(network: ElectricalNetwork, route: str, p: float | None):
 @dataclass(frozen=True)
 class PowerEstimate:
     value: float
-    norm_estimate: float
     kappa: float
     ledger: CostLedger
 
@@ -202,9 +201,7 @@ def dissipated_power(
         work, psi, kappa, gamma_lower=1.0 - 1e-9, eps=eps / 3.0, delta=delta, rng=rng
     )
     norm_value = est.value * i_norm / c_norm
-    return PowerEstimate(
-        value=norm_value**2, norm_estimate=norm_value, kappa=kappa, ledger=est.ledger
-    )
+    return PowerEstimate(value=norm_value**2, kappa=kappa, ledger=est.ledger)
 
 
 def effective_resistance(

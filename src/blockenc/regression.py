@@ -157,8 +157,6 @@ def classical_beta(problem: RegressionProblem) -> np.ndarray:
 class RegressionResult:
     state: np.ndarray
     ledger: CostLedger
-    route: str
-    alpha: float
 
 
 def _solve_complement(
@@ -170,7 +168,6 @@ def _solve_complement(
     gamma: float,
     eps: float,
     b_cost: CostLedger | None,
-    route: str,
 ) -> RegressionResult:
     """Run pseudoinverse preparation on a symmetrized encoding; read the column block."""
     scale = max(1.0, spectral_norm(enc.target) if enc.target is not None else 1.0)
@@ -181,7 +178,7 @@ def _solve_complement(
         work, psi, max(2.0, kappa * scale), gamma, eps, psi_cost=b_cost
     )
     beta = normalize(res.state[m_rows : m_rows + n_cols])
-    return RegressionResult(state=beta, ledger=res.ledger, route=route, alpha=enc.alpha)
+    return RegressionResult(state=beta, ledger=res.ledger)
 
 
 def wls_solve(
@@ -219,9 +216,7 @@ def wls_solve(
         b_cost = CostLedger.single("b_prep")
     else:
         raise PreconditionError(f"unknown WLS route {route!r}")
-    return _solve_complement(
-        enc, b, m_rows, n_cols, problem.kappa_a, gamma, eps, b_cost, route
-    )
+    return _solve_complement(enc, b, m_rows, n_cols, problem.kappa_a, gamma, eps, b_cost)
 
 
 def _solver_budget(kappa: float, eps: float) -> float:
@@ -297,4 +292,4 @@ def gls_solve(
         psi_cost=psi_res.ledger,
     )
     beta = normalize(res.state[m_rows : m_rows + n_cols])
-    return RegressionResult(state=beta, ledger=res.ledger, route=route, alpha=u_abar.alpha)
+    return RegressionResult(state=beta, ledger=res.ledger)

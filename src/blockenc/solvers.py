@@ -25,7 +25,6 @@ from .ledger import CostLedger
 from .linalg import normalize
 from .vtime import (
     VSTA,
-    MindfulResult,
     VTAAResult,
     _dirichlet,
     ae_multiplicative,
@@ -66,7 +65,6 @@ def sve_config(delta: float, eps: float) -> SVEConfig:
 class SVEBranch:
     """Outcome distribution of one singular component under the Dirichlet kernel."""
 
-    weight: float  # |c_j|^2
     sigma: float
     z_values: np.ndarray
     probs: np.ndarray
@@ -130,7 +128,6 @@ def singular_value_estimation(
         probs = probs / probs.sum()
         branches.append(
             SVEBranch(
-                weight=float(np.abs(coeffs[j]) ** 2),
                 sigma=sigma,
                 z_values=z,
                 probs=probs,
@@ -185,7 +182,6 @@ class SolveResult:
     profile_p_succ: float
     run_time: float
     vtaa: VTAAResult
-    norm_estimate: float | None = None
 
 
 def _check_spectrum(w, coeffs, kappa, gamma_lower, slack):
@@ -362,7 +358,6 @@ class NormEstimate:
     value: float  # Gamma: multiplicative estimate of ||H^-c psi||
     state: np.ndarray
     ledger: CostLedger
-    mindful: MindfulResult
 
 
 def qls_norm_estimate(
@@ -391,7 +386,7 @@ def qls_norm_estimate(
     run_units = mr.vtaa.run_time + mr.estimation_time
     ledger = u.ledger.scaled(run_units / max(u.alpha * (u.ancillas + 1), 1e-300))
     state = _assemble_output(mr.vtaa, v_live)
-    return NormEstimate(value=norm_est, state=state, ledger=ledger + ae_ledger, mindful=mr)
+    return NormEstimate(value=norm_est, state=state, ledger=ledger + ae_ledger)
 
 
 def naive_solve(

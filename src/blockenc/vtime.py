@@ -302,14 +302,12 @@ class StageRecord:
 class AmplificationSchedule:
     stages: tuple[StageRecord, ...]
     e_bound: float  # measured E
-    g_bound: float
     o_bound: float  # measured product of overheads
 
     def to_dict(self) -> dict:
         return {
             "stages": [vars(s) for s in self.stages],
             "E": self.e_bound,
-            "G": self.g_bound,
             "O": self.o_bound,
         }
 
@@ -418,9 +416,7 @@ def build_vtaa(vsta: VSTA, p_succ_lower: float = 0.0) -> VTAAResult:
     return VTAAResult(
         vsta=vsta,
         profile=profile,
-        schedule=AmplificationSchedule(
-            stages=tuple(records), e_bound=e_bound, g_bound=1.0, o_bound=o_bound
-        ),
+        schedule=AmplificationSchedule(stages=tuple(records), e_bound=e_bound, o_bound=o_bound),
         good=good,
         bad=bad,
         stage_uses=tuple(uses),

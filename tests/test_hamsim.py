@@ -218,23 +218,48 @@ def _positive_encoding(seed, kappa=4.0, dim=8):
     return be.encode((h + h.T) / 2)
 
 
+def _old_log2(x):
+    return math.log2(max(x, 2.0))
+
+
+def _old_metadata(u, alpha, eps, rounds, gates, clamp=True):
+    """alpha, ancillas, epsilon and ledger as each block function wrote them by hand."""
+    ledger = u.ledger.scaled(max(rounds, 1.0) if clamp else rounds).with_gates(gates)
+    return alpha, u.ancillas + 2, eps, ledger.to_dict()
+
+
 def test_block_functions_bit_for_bit_against_the_block_eigh():
-    kappa, eps = 4.0, 1e-3
-    u = _positive_encoding(20, kappa)
-    a = u.applied()
-    sim = hs.block_ham_sim(u, 0.7, eps)
-    assert np.array_equal(sim.block(), _old_hermitian_function(a, lambda w: np.exp(0.7j * w)))
-    neg = hs.negative_power(u, 0.5, kappa, eps)
-    old = _old_hermitian_function(a, lambda w: np.sign(w) * np.abs(w) ** -0.5)
-    assert np.array_equal(neg.block(), old / neg.alpha)
-    pos = hs.positive_power(u, 0.5, kappa, eps)
-    old = _old_hermitian_function(a, lambda w: np.maximum(w, 0.0) ** 0.5)
-    assert np.array_equal(pos.block(), old / 2.0)
-    series = hs.negative_power_series(0.5, kappa, eps)
-    smooth = hs.smooth_function(u, series, eps)
-    degree = series.truncation_degree(eps)
-    old = _old_hermitian_function(a, lambda x: series.evaluate(x, degree)) / series.envelope
-    assert np.array_equal(smooth.block(), old)
+    kappa, eps, t, c = 4.0, 1e-3, 0.7, 0.5
+    attached = _positive_encoding(20, kappa)
+    for u in (attached, replace(attached, target=None)):
+        a, al, an = u.applied(), u.alpha, u.ancillas
+        series = hs.negative_power_series(c, kappa, eps)
+        degree = series.truncation_degree(eps)
+        r, delta, b = series.radius, series.delta, series.envelope
+        m_sim = r * _old_log2(1.0 / eps) / delta
+        sim_rounds = al * m_sim / max(r, 1e-300) + _old_log2(m_sim) * _old_log2(m_sim / eps)
+        smooth_gates = (r / delta) * _old_log2(r / (delta * eps)) * _old_log2(1.0 / eps)
+        neg_rounds = al * kappa * (1.0 + c) * _old_log2(kappa ** (1.0 + c) / eps)
+        pos_rounds = al * kappa * _old_log2(kappa / eps)
+        sim_rounds_t = abs(al * t) + _old_log2(1.0 / eps)
+        cases = [
+            (hs.block_ham_sim(u, t, eps), lambda w: np.exp(1j * t * w),
+             _old_metadata(u, 1.0, eps, sim_rounds_t, an * sim_rounds_t, clamp=False)),
+            (hs.negative_power(u, c, kappa, eps), lambda w: np.sign(w) * np.abs(w) ** -c,
+             _old_metadata(u, 2.0 * kappa**c, eps, neg_rounds, an * neg_rounds)),
+            (hs.positive_power(u, c, kappa, eps), lambda w: np.maximum(w, 0.0) ** c,
+             _old_metadata(u, 2.0, eps, pos_rounds, an * pos_rounds)),
+            (hs.smooth_function(u, series, eps), lambda x: series.evaluate(x, degree),
+             _old_metadata(u, b, b * eps, sim_rounds, smooth_gates)),
+        ]
+        for out, f, (alpha, ancillas, epsilon, ledger) in cases:
+            assert np.array_equal(out.block(), _old_hermitian_function(a, f) / alpha)
+            assert (out.alpha, out.ancillas, out.epsilon) == (alpha, ancillas, epsilon)
+            assert out.ledger.to_dict() == ledger
+            if u.target is None:
+                assert out.target is None
+            else:
+                assert np.array_equal(out.target, _old_hermitian_function(u.target, f))
 
 
 def test_negative_power_decomposes_the_block_once(monkeypatch):

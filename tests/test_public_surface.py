@@ -3,12 +3,18 @@
 A function, class or method that only tests call is surface nobody needs: it
 either gets a caller in the package or goes.  The allowlists hold the few
 references and test-support helpers kept on purpose.
+
+Every dataclass field is read as an attribute somewhere in `src/` or
+`tests/`.  The rules match by name, so a name that some other object reads
+counts as read: `RegressionResult.alpha` passed while nothing read it,
+because every encoding's `.alpha` is read.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "blockenc"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # seeded instances for the tests and the benchmark
 ALLOWED_MODULES = {"fixtures"}
@@ -26,8 +32,8 @@ ALLOWED_METHODS = {
 }
 
 
-def _trees():
-    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+def _trees(root=SRC):
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(root.glob("*.py"))}
 
 
 def _public_definitions(trees):
@@ -44,6 +50,23 @@ def _public_methods(trees):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield node.name, item.name
+
+
+def _dataclass_fields(trees):
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        yield node.name, item.target.id
+
+
+def _attributes(trees):
+    return {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
 
 
 def _references(trees):
@@ -79,11 +102,17 @@ def test_every_public_method_has_a_caller_in_src():
     defined = set(_public_methods(trees))
     assert ALLOWED_METHODS <= defined  # no stale entries
     # a method is called through an attribute, on whatever object holds it
-    used = {node.attr for tree in trees.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+    used = _attributes(trees)
     orphans = sorted(
         f"{cls}.{name}"
         for cls, name in defined
         if name not in used and (cls, name) not in ALLOWED_METHODS
     )
     assert orphans == []
+
+
+def test_every_dataclass_field_is_read():
+    trees = _trees()
+    read = _attributes(trees) | _attributes(_trees(TESTS))
+    unread = sorted(f"{cls}.{name}" for cls, name in _dataclass_fields(trees) if name not in read)
+    assert unread == []
